@@ -14,8 +14,8 @@ import (
 // SolveBatch fans a slice of instances across a worker pool — the
 // building block for serving many requests at once. Scheduling is by
 // engine name (WithEngine; the default "auto" routes each instance by
-// size: small ones to the cache-friendly sequential scan, large ones to
-// the banded HLV iteration), and WithConcurrency bounds how many
+// size: small ones to the cache-friendly sequential scan, larger ones to
+// the pipelined blocked engine), and WithConcurrency bounds how many
 // instances are in flight at once (default GOMAXPROCS).
 //
 // The whole batch runs on one persistent worker pool — WithPool's if

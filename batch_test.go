@@ -43,7 +43,7 @@ func TestSolveBatchOrderStableAndComplete(t *testing.T) {
 		}
 		wantEngine := sublineardp.EngineSequential
 		if ins[i].N > sublineardp.DefaultAutoCutoff {
-			wantEngine = sublineardp.EngineHLVBanded
+			wantEngine = sublineardp.EngineBlockedPipe
 		}
 		if sol.Engine != wantEngine {
 			t.Errorf("slot %d (n=%d): engine %q, want %q", i, ins[i].N, sol.Engine, wantEngine)

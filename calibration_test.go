@@ -13,20 +13,22 @@ import (
 // in either option order, and a nil profile changes nothing.
 func TestWithCalibrationRoutesByProfile(t *testing.T) {
 	prof := &Calibration{
-		Schema:          calibrate.Schema,
-		AutoCutoff:      10,
-		AutoLargeCutoff: 20,
-		TileSize:        96,
+		Schema:     calibrate.Schema,
+		AutoCutoff: 10,
+		TileSize:   96,
 	}
+	tiny := problems.RandomInstance(8, 50, 3)    // default tier: sequential
 	small := problems.RandomInstance(15, 50, 1)  // default tier: sequential
 	medium := problems.RandomInstance(25, 50, 2) // default tier: sequential
 
 	cfg := buildConfig([]Option{WithCalibration(prof)})
-	if got := pickAutoName(small, &cfg); got != EngineHLVBanded {
-		t.Errorf("n=15 under calibrated cutoff 10 routed to %q, want %q", got, EngineHLVBanded)
+	if got := pickAutoName(tiny, &cfg); got != EngineSequential {
+		t.Errorf("n=8 under calibrated cutoff 10 routed to %q, want %q", got, EngineSequential)
 	}
-	if got := pickAutoName(medium, &cfg); got != EngineBlockedPipe {
-		t.Errorf("n=25 under calibrated large cutoff 20 routed to %q, want %q", got, EngineBlockedPipe)
+	for _, in := range []*Instance{small, medium} {
+		if got := pickAutoName(in, &cfg); got != EngineBlockedPipe {
+			t.Errorf("n=%d under calibrated cutoff 10 routed to %q, want %q", in.N, got, EngineBlockedPipe)
+		}
 	}
 	if cfg.TileSize != 96 {
 		t.Errorf("calibrated tile size not applied: %d", cfg.TileSize)
@@ -56,7 +58,7 @@ func TestWithCalibrationRoutesByProfile(t *testing.T) {
 
 func TestLoadCalibrationRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), DefaultCalibrationPath)
-	prof := &Calibration{Schema: calibrate.Schema, AutoCutoff: 32, AutoLargeCutoff: 300, TileSize: 128}
+	prof := &Calibration{Schema: calibrate.Schema, AutoCutoff: 32, TileSize: 128}
 	if err := prof.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,26 @@ func TestLoadCalibrationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AutoCutoff != 32 || got.AutoLargeCutoff != 300 || got.TileSize != 128 {
+	if got.AutoCutoff != 32 || got.TileSize != 128 {
 		t.Fatalf("profile did not round-trip: %+v", got)
 	}
 	if _, err := LoadCalibration(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing profile accepted")
+	}
+}
+
+// The committed profile predates the two-tier auto engine (it carries
+// auto_large_cutoff and hlv-banded probes): it must still load, and its
+// measured cutoff must send a mid-size instance to the pipelined tiles.
+func TestCommittedCalibrationRoutesMidsizeToPipe(t *testing.T) {
+	prof, err := LoadCalibration(DefaultCalibrationPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := buildConfig([]Option{WithCalibration(prof)})
+	in := problems.RandomMatrixChain(100, 50, 1)
+	if got := pickAutoName(in, &cfg); got != EngineBlockedPipe {
+		t.Errorf("n=100 under %s (cutoff %d) routed to %q, want %q",
+			DefaultCalibrationPath, prof.AutoCutoff, got, EngineBlockedPipe)
 	}
 }

@@ -26,7 +26,12 @@
 //
 // Large-instance runs shed and time out by design when the server is
 // saturated, so 503 (admission shed) and 504 (deadline) responses are
-// counted separately from hard errors and do not fail the run.
+// counted separately from hard errors and do not fail the run — unless
+// -max-p99 is set: then any non-200 answer, or a client p99 above the
+// bound, exits 1. CI runs an all-miss mid-size mix that way:
+//
+//	dploadgen -mix mlp:1,polygon:1,worstchain:1,boolplan:1 -n 96 \
+//	        -distinct 2048 -duration 10s -max-p99 2s
 package main
 
 import (
@@ -41,6 +46,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sublineardp/internal/problems"
@@ -59,6 +65,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 		out      = flag.String("out", "", "also write the summary as JSON to this path")
+		maxP99   = flag.Duration("max-p99", 0, "fail the run if the client p99 latency exceeds this bound or any request is not answered 200 (0 = no bound)")
 	)
 	flag.Parse()
 
@@ -83,6 +90,12 @@ func main() {
 	}
 	if sum.Errors > 0 {
 		os.Exit(1)
+	}
+	if *maxP99 > 0 {
+		if err := sum.check(*maxP99); err != nil {
+			fmt.Fprintf(os.Stderr, "dploadgen: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -278,6 +291,19 @@ func (s *Summary) print(w *os.File) {
 		s.LatencyMsP50, s.LatencyMsP90, s.LatencyMsP99, s.LatencyMsMax)
 }
 
+// check enforces the -max-p99 tail bound: every request answered 200
+// and the client p99 within maxP99.
+func (s *Summary) check(maxP99 time.Duration) error {
+	if bad := s.Errors + s.Shed + s.Timeouts; bad > 0 {
+		return fmt.Errorf("%d of %d requests not answered 200 (%d errors, %d shed, %d timeouts)",
+			bad, s.Requests, s.Errors, s.Shed, s.Timeouts)
+	}
+	if p99 := time.Duration(s.LatencyMsP99 * float64(time.Millisecond)); p99 > maxP99 {
+		return fmt.Errorf("p99 latency %v exceeds -max-p99 %v", p99, maxP99)
+	}
+	return nil
+}
+
 type sample struct {
 	micros    int64
 	cached    bool
@@ -290,16 +316,19 @@ type sample struct {
 func run(addr string, pool [][]byte, duration time.Duration, conc int, timeout time.Duration) *Summary {
 	stop := time.Now().Add(duration)
 	samplesPer := make([][]sample, conc)
+	// The workers walk the (already shuffled) pool through one shared
+	// cursor, so no request repeats before the pool wraps: a pool larger
+	// than the run makes every request a cache miss.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < conc; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			client := &http.Client{Timeout: timeout}
-			rng := rand.New(rand.NewSource(int64(w) + 1))
 			var local []sample
 			for time.Now().Before(stop) {
-				body := pool[rng.Intn(len(pool))]
+				body := pool[(next.Add(1)-1)%int64(len(pool))]
 				t0 := time.Now()
 				resp, err := client.Post(addr+"/solve", "application/json", bytes.NewReader(body))
 				el := time.Since(t0).Microseconds()

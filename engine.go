@@ -35,12 +35,13 @@ type Engine interface {
 // Registry names of the built-in engines.
 const (
 	// EngineAuto picks an engine per instance by size: n <= AutoCutoff
-	// goes to the sequential scan, mid-sized instances to the banded HLV
-	// iteration, and n > AutoLargeCutoff to the barrier-free pipelined
-	// blocked engine (O(n^2) memory, zero wavefront barriers). The
-	// cutoffs default to the built-in constants; WithCalibration installs
-	// the measured, machine-local values a `dpbench -calibrate` pass
-	// derived.
+	// goes to the sequential scan, everything above it to the
+	// barrier-free pipelined blocked engine (O(n^2) memory, zero
+	// wavefront barriers), and declared-convex min-plus instances above
+	// the cutoff to the Knuth-Yao pruned engine. The cutoff defaults to
+	// DefaultAutoCutoff; WithCalibration installs the measured,
+	// machine-local value a `dpbench -calibrate` pass derived. The paper's
+	// HLV engines are never auto-selected: reach them by name.
 	EngineAuto = "auto"
 	// EngineSequential is the classic O(n^3) dynamic program (records
 	// split points, so Solution.Tree is O(n)).
@@ -141,8 +142,8 @@ type EngineInfo struct {
 // generic entry (their RegisterEngine call site is the authority on the
 // options they interpret).
 var builtinInfo = map[string]EngineInfo{
-	EngineAuto: {Description: "size-based selector: sequential at n <= cutoff, hlv-banded in the mid range, blocked above the large cutoff",
-		Options: "WithAutoCutoff, WithAutoLargeCutoff, WithSemiring + the chosen engine's options (iteration knobs apply only on the hlv tier)"},
+	EngineAuto: {Description: "size-based selector: sequential at n <= cutoff, blocked-pipe above it (blocked-ky for declared-convex min-plus)",
+		Options: "WithAutoCutoff, WithConvexity, WithSemiring + the chosen engine's options"},
 	EngineSequential: {Description: "classic O(n^3) dynamic program with O(n) tree reconstruction",
 		Options: "WithSemiring"},
 	EngineWavefront: {Description: "span-parallel linear-time baseline",
@@ -467,15 +468,14 @@ func (blockedKYEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*S
 }
 
 // autoEngine is the size-based meta-engine: small instances go to the
-// sequential scan, mid-sized ones to the banded HLV iteration, large
-// ones to the pipelined blocked engine — under any algebra, since all
-// three targets are generic. The returned Solution names the engine actually
-// chosen. Routing is purely by size: options are interpreted by the
-// chosen engine, so the iteration-discipline knobs (WithTermination,
-// WithMaxIterations, WithHistory, WithTarget) take effect only when the
-// HLV tier is selected — exactly as they always vanished on the
-// sequential tier. Callers that need per-iteration instrumentation at
-// any size should name an HLV engine explicitly.
+// sequential scan, everything larger to the pipelined blocked engine —
+// under any algebra, since both targets are generic. The returned
+// Solution names the engine actually chosen. Routing is purely by size
+// (and declared convexity): options are interpreted by the chosen
+// engine, so the HLV iteration-discipline knobs (WithTermination,
+// WithMaxIterations, WithHistory, WithTarget) never take effect under
+// auto. Callers that need per-iteration instrumentation should name an
+// HLV engine explicitly.
 type autoEngine struct{}
 
 func (autoEngine) Name() string { return EngineAuto }
@@ -486,10 +486,10 @@ func (autoEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Soluti
 
 // pickAuto resolves the auto engine's choice for an instance. Size sets
 // the tier; a declared-convex min-plus instance above the sequential
-// cutoff takes the Knuth-Yao pruned engine instead of either parallel
-// tier (its O(n^2) work dominates both), and WithConvexity(true) forces
-// the pruned engine at every size — Solve has already rejected
-// ineligible instances by then.
+// cutoff takes the Knuth-Yao pruned engine instead (its O(n^2) work
+// dominates the O(n^3) tiles), and WithConvexity(true) forces the pruned
+// engine at every size — Solve has already rejected ineligible
+// instances by then.
 func pickAuto(in *Instance, cfg *Config) Engine {
 	name := pickAutoName(in, cfg)
 	e, ok := LookupEngine(name)
@@ -502,20 +502,14 @@ func pickAuto(in *Instance, cfg *Config) Engine {
 
 // pickAutoName is pickAuto's routing table by registry name — also what
 // SolveBatch consults to group pipe-destined instances into one shared
-// scheduler. The large tier routes to the pipelined blocked engine: same
-// bitwise tables as "blocked" with the wavefront barriers gone.
+// scheduler. It resolves only to production engines: one cutoff splits
+// the sequential scan from the pipelined blocked engine, which above it
+// beats the paper's HLV iterations at every measured size.
 func pickAutoName(in *Instance, cfg *Config) string {
 	n := in.N
 	cutoff := cfg.AutoCutoff
 	if cutoff <= 0 {
 		cutoff = DefaultAutoCutoff
-	}
-	large := cfg.AutoLargeCutoff
-	if large <= 0 {
-		large = DefaultAutoLargeCutoff
-	}
-	if large < cutoff {
-		large = cutoff
 	}
 	kyEligible := in.Convex && algebra.ResolveName(cfg.Semiring, in.Algebra) == algebra.NameMinPlus
 	switch {
@@ -523,8 +517,6 @@ func pickAutoName(in *Instance, cfg *Config) string {
 		return EngineBlockedKY
 	case n <= cutoff:
 		return EngineSequential
-	case n <= large:
-		return EngineHLVBanded
 	default:
 		return EngineBlockedPipe
 	}

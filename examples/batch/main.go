@@ -1,7 +1,8 @@
 // Batch serving: fan a mixed stream of matrix-chain, OBST and
 // triangulation requests across the worker-pool scheduler, letting the
 // "auto" engine route each instance by size — small ones to the
-// sequential scan, large ones to the banded HLV iteration — under one
+// sequential scan, larger ones to the pipelined tile engine (OBSTs,
+// declared convex, to its Knuth-Yao pruned variant) — under one
 // deadline, the shape of a production request handler.
 //
 // Run with:

@@ -8,13 +8,12 @@ import (
 
 func TestProfileRoundTrip(t *testing.T) {
 	p := &Profile{
-		Schema:          Schema,
-		GoVersion:       "go-test",
-		GOMAXPROCS:      4,
-		Workers:         4,
-		AutoCutoff:      48,
-		AutoLargeCutoff: 192,
-		TileSize:        128,
+		Schema:     Schema,
+		GoVersion:  "go-test",
+		GOMAXPROCS: 4,
+		Workers:    4,
+		AutoCutoff: 48,
+		TileSize:   128,
 		Probes: []Probe{
 			{Kind: "cutoff", Engine: "sequential", N: 48, NsPerOp: 1000},
 			{Kind: "tile", Engine: "blocked-pipe", N: 1024, Tile: 128, NsPerOp: 5000},
@@ -28,7 +27,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AutoCutoff != 48 || got.AutoLargeCutoff != 192 || got.TileSize != 128 {
+	if got.AutoCutoff != 48 || got.TileSize != 128 {
 		t.Fatalf("thresholds did not round-trip: %+v", got)
 	}
 	if len(got.Probes) != 2 || got.Probes[1].Tile != 128 {
@@ -48,7 +47,6 @@ func TestLoadRejectsBadProfiles(t *testing.T) {
 	cases := map[string]string{
 		"bad-schema.json": `{"schema":"something/else","auto_cutoff":10}`,
 		"negative.json":   `{"schema":"` + Schema + `","auto_cutoff":-1}`,
-		"inverted.json":   `{"schema":"` + Schema + `","auto_cutoff":100,"auto_large_cutoff":50}`,
 		"not-json.json":   `{"schema":`,
 	}
 	for name, body := range cases {
@@ -63,5 +61,17 @@ func TestLoadRejectsBadProfiles(t *testing.T) {
 	// Partial profiles are valid: zero thresholds mean "keep defaults".
 	if _, err := Load(write("partial.json", `{"schema":"`+Schema+`","tile_size":96}`)); err != nil {
 		t.Errorf("partial profile rejected: %v", err)
+	}
+
+	// Profiles from the three-tier auto engine carry the retired large
+	// cutoff — even below the small one — and banded probes: still
+	// loadable, with the thresholds that remain.
+	legacy, err := Load(write("legacy.json", `{"schema":"`+Schema+`","auto_cutoff":100,"auto_large_cutoff":50,`+
+		`"probes":[{"kind":"cutoff","engine":"hlv-banded","n":32,"ns_per_op":11521372}]}`))
+	if err != nil {
+		t.Fatalf("legacy profile rejected: %v", err)
+	}
+	if legacy.AutoCutoff != 100 || len(legacy.Probes) != 1 || legacy.Probes[0].Engine != "hlv-banded" {
+		t.Errorf("legacy profile misread: %+v", legacy)
 	}
 }

@@ -244,6 +244,50 @@ func TestDifferentOptionsDoNotShareCacheEntries(t *testing.T) {
 	}
 }
 
+// "auto_large_cutoff" belonged to the retired three-tier auto engine.
+// Old clients still send it: the request is admitted, and it keys, routes
+// and answers exactly like its twin without the field — so the twin is a
+// cache hit.
+func TestRetiredLargeCutoffIsAcceptedAndIgnored(t *testing.T) {
+	srv, hs := newTestServer(t, Config{})
+	dims := make([]int, 81) // n = 80: the old default routed it to hlv-banded, 70 to blocked-pipe
+	for i := range dims {
+		dims[i] = (i*11)%17 + 2
+	}
+	plain := &wire.Request{Kind: wire.KindMatrixChain, Dims: dims}
+	legacy := *plain
+	legacy.Options.RetiredLargeCutoff = 70
+	if body, _ := json.Marshal(&legacy); !bytes.Contains(body, []byte(`"options":{"auto_large_cutoff":70}`)) {
+		t.Fatalf("legacy request does not carry the wire field: %s", body)
+	}
+	if optionsSig("auto", legacy.Options, false) != optionsSig("auto", plain.Options, false) {
+		t.Fatal("the ignored field moved the option signature")
+	}
+
+	var rs [2]wire.Response
+	for i, req := range []*wire.Request{&legacy, plain} {
+		resp, body := postSolve(t, hs.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &rs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs[0].Cached || !rs[1].Cached {
+		t.Fatalf("cached flags: legacy %v plain %v, want false/true", rs[0].Cached, rs[1].Cached)
+	}
+	if rs[0].Engine != sublineardp.EngineBlockedPipe {
+		t.Errorf("legacy request ran %q, want %q", rs[0].Engine, sublineardp.EngineBlockedPipe)
+	}
+	if rs[0].Cost != rs[1].Cost || rs[0].TableDigest != rs[1].TableDigest {
+		t.Fatalf("answers differ: %d/%s vs %d/%s", rs[0].Cost, rs[0].TableDigest, rs[1].Cost, rs[1].TableDigest)
+	}
+	if m := srv.Metrics(); m.Solved != 1 || m.CacheHits != 1 {
+		t.Fatalf("metrics %+v, want 1 solved / 1 hit", m)
+	}
+}
+
 func TestAdmissionQueueShedsWith503(t *testing.T) {
 	// QueueDepth 1 and a long batch window: the first request occupies
 	// the only slot inside the window, the second is shed immediately.
@@ -320,15 +364,14 @@ func TestBatcherCoalescesAWindow(t *testing.T) {
 
 // A calibration profile attached to the server (dpserved -calibration)
 // re-routes auto solves by its measured thresholds — here a profile
-// whose tiny cutoffs push a modest request onto the pipelined tile
+// whose tiny cutoff pushes a modest request onto the pipelined tile
 // engine the defaults would never choose at that size — while a request
 // that sets the same knobs explicitly keeps its own values.
 func TestCalibrationProfileRoutesAutoSolves(t *testing.T) {
 	_, hs := newTestServer(t, Config{Calibration: &sublineardp.Calibration{
-		Schema:          calibrate.Schema,
-		AutoCutoff:      4,
-		AutoLargeCutoff: 4,
-		TileSize:        8,
+		Schema:     calibrate.Schema,
+		AutoCutoff: 4,
+		TileSize:   8,
 	}})
 	dims := make([]int, 21) // n = 20: sequential under default routing
 	for i := range dims {

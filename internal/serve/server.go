@@ -76,7 +76,7 @@ type Config struct {
 	// process-wide shared pool).
 	Pool *sublineardp.Pool
 	// Calibration, when non-nil, is the machine-local profile written by
-	// `dpbench -calibrate`: its measured auto-routing cutoffs and tile
+	// `dpbench -calibrate`: its measured auto-routing cutoff and tile
 	// size apply to every solve, with knobs a request sets explicitly
 	// still winning (see sublineardp.WithCalibration).
 	Calibration *sublineardp.Calibration
@@ -298,7 +298,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Calibration != nil {
 		// Fill-if-unset semantics: the machine profile supplies routing
-		// cutoffs and tile size only where the request did not.
+		// cutoff and tile size only where the request did not.
 		opts = append(opts, sublineardp.WithCalibration(s.cfg.Calibration))
 	}
 	var in *sublineardp.Instance
@@ -439,9 +439,9 @@ func solveKey(in *sublineardp.Instance, sig string) (cache.Key, bool) {
 // value vector and does not change the solve).
 func optionsSig(engine string, o wire.Options, splits bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%d|%v",
+	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%v",
 		engine, o.Mode, o.Termination, o.Semiring, o.MaxIterations,
-		o.BandRadius, o.Window, o.TileSize, o.Workers, o.AutoCutoff, o.AutoLargeCutoff,
+		o.BandRadius, o.Window, o.TileSize, o.Workers, o.AutoCutoff,
 		splits)
 	return b.String()
 }

@@ -102,9 +102,13 @@ type Options struct {
 	TileSize   int  `json:"tile_size,omitempty"`
 	Workers    int  `json:"workers,omitempty"`
 	AutoCutoff int  `json:"auto_cutoff,omitempty"`
-	// AutoLargeCutoff is the auto engine's blocked-engine threshold
-	// (WithAutoLargeCutoff).
-	AutoLargeCutoff int `json:"auto_large_cutoff,omitempty"`
+	// RetiredLargeCutoff keeps "auto_large_cutoff", the second threshold
+	// of the retired three-tier auto engine, decodable for old clients.
+	// It is accepted and ignored: it reaches no solver option, cache key
+	// or response.
+	//
+	// Deprecated: auto routes by the single AutoCutoff.
+	RetiredLargeCutoff int `json:"auto_large_cutoff,omitempty"`
 }
 
 // Request is one solve request. Exactly the parameter fields of its Kind
@@ -460,9 +464,6 @@ func (r *Request) SolverOptions() ([]sublineardp.Option, error) {
 	}
 	if o.AutoCutoff > 0 {
 		opts = append(opts, sublineardp.WithAutoCutoff(o.AutoCutoff))
-	}
-	if o.AutoLargeCutoff > 0 {
-		opts = append(opts, sublineardp.WithAutoLargeCutoff(o.AutoLargeCutoff))
 	}
 	if r.ReturnSplits && !IsChainKind(r.Kind) {
 		// Record splits during the solve so the reconstruction the

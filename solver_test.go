@@ -183,12 +183,12 @@ func TestAutoEngineSelectsBySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solLarge.Engine != sublineardp.EngineHLVBanded {
-		t.Errorf("n=%d routed to %q, want hlv-banded", large.N, solLarge.Engine)
+	if solLarge.Engine != sublineardp.EngineBlockedPipe {
+		t.Errorf("n=%d routed to %q, want blocked-pipe", large.N, solLarge.Engine)
 	}
 
-	// Above the large cutoff the barrier-free pipelined blocked engine
-	// takes over — O(n^2) memory and zero wavefront barriers
+	// Above the cutoff the barrier-free pipelined blocked engine takes
+	// every size — O(n^2) memory and zero wavefront barriers
 	// (Solution.Stats pins the latter).
 	huge := sublineardp.NewShaped(sublineardp.CompleteTree(300))
 	solHuge, err := s.Solve(context.Background(), huge)
@@ -208,19 +208,8 @@ func TestAutoEngineSelectsBySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Engine != sublineardp.EngineHLVBanded {
-		t.Errorf("cutoff=4: n=%d routed to %q, want hlv-banded", small.N, sol.Engine)
-	}
-
-	// A custom large cutoff flips the mid-sized instance to the
-	// pipelined blocked engine.
-	wide := sublineardp.MustNewSolver(sublineardp.EngineAuto, sublineardp.WithAutoLargeCutoff(70))
-	sol, err = wide.Solve(context.Background(), large)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sol.Engine != sublineardp.EngineBlockedPipe {
-		t.Errorf("large-cutoff=70: n=%d routed to %q, want blocked-pipe", large.N, sol.Engine)
+		t.Errorf("cutoff=4: n=%d routed to %q, want blocked-pipe", small.N, sol.Engine)
 	}
 }
 

@@ -144,18 +144,12 @@ type Config struct {
 	Cache *Cache
 
 	// AutoCutoff is the instance size at or below which the "auto"
-	// engine picks "sequential" instead of "hlv-banded" (0 = the
-	// DefaultAutoCutoff). Small instances are solved faster by the
-	// cache-friendly O(n^3) scan than by any parallel iteration.
+	// engine picks "sequential"; above it auto picks the pipelined
+	// "blocked-pipe" engine, or "blocked-ky" for declared-convex
+	// min-plus instances (0 = the DefaultAutoCutoff). It is auto's only
+	// routing knob: small instances are solved faster by the
+	// cache-friendly O(n^3) scan than by the tile scheduler.
 	AutoCutoff int
-
-	// AutoLargeCutoff is the instance size above which the "auto" engine
-	// picks the work-efficient "blocked-pipe" engine instead of
-	// "hlv-banded" (0 = the DefaultAutoLargeCutoff; values below
-	// AutoCutoff clamp to it). Past this size the HLV iteration's
-	// O(n^2.5) deficit store and per-iteration sweeps lose to the
-	// O(n^2)-memory blocked tile schedule.
-	AutoLargeCutoff int
 
 	// Convexity demands the Knuth-Yao pruned path: Solve fails with
 	// ErrConvexityRequired unless the instance declares the convexity
@@ -177,14 +171,10 @@ type Config struct {
 }
 
 // DefaultAutoCutoff is the default small-instance threshold of the
-// "auto" engine: at n <= 64 the sequential O(n^3) scan beats the
-// parallel engines' per-iteration overhead on real hardware.
+// "auto" engine: at n <= 64 the sequential O(n^3) scan runs on the
+// caller's goroutine without touching the worker pool. A calibration
+// profile (WithCalibration) replaces it with the measured crossover.
 const DefaultAutoCutoff = 64
-
-// DefaultAutoLargeCutoff is the default large-instance threshold of the
-// "auto" engine: above n = 256 the work-efficient blocked engine
-// dominates the banded HLV iteration on both memory and wall clock.
-const DefaultAutoLargeCutoff = 256
 
 // Option configures a Solver, a single Solve call, or a SolveBatch run.
 type Option func(*Config)
@@ -257,11 +247,6 @@ func WithCache(c *Cache) Option { return func(cfg *Config) { cfg.Cache = c } }
 // engine (and SolveBatch's default scheduling) picks the sequential
 // engine (0 = DefaultAutoCutoff).
 func WithAutoCutoff(n int) Option { return func(c *Config) { c.AutoCutoff = n } }
-
-// WithAutoLargeCutoff sets the instance size above which the "auto"
-// engine routes to the work-efficient "blocked" engine instead of the
-// banded HLV iteration (0 = DefaultAutoLargeCutoff).
-func WithAutoLargeCutoff(n int) Option { return func(c *Config) { c.AutoLargeCutoff = n } }
 
 // WithConvexity demands the Knuth-Yao pruned path: the solve fails with
 // ErrConvexityRequired unless the instance declares Instance.Convex and
