@@ -222,6 +222,7 @@ func TestPipelinedOverlapBatch(t *testing.T) {
 	poisoned := *insA
 	poisoned.Name = "poisoned"
 	poisoned.FPanel = nil
+	poisoned.FProduct = nil // the bulk F forms would bypass the poisoned F
 	baseF := insA.F
 	poisoned.F = func(i, k, j int) sublineardp.Cost {
 		if calls.Add(1) == 5000 {

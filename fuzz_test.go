@@ -139,6 +139,23 @@ func FuzzBlockedMatchesSequential(f *testing.F) {
 		if rep := verify.Table(in, got.Table); !rep.OK() {
 			t.Fatalf("blocked B=%d table not a fixed point (n=%d seed=%d): %v", b, n, seed, rep.Err())
 		}
+
+		// Product form: a matrix chain declares FProduct, which the
+		// engine folds without an f buffer; with it cleared the FPanel
+		// row path runs instead. Both must be the sequential table.
+		mc := problems.RandomMatrixChain(n, 60, seed)
+		rowed := *mc
+		rowed.FProduct = nil
+		wantMC := seq.Solve(mc).Table.Data()
+		for _, form := range []*sublineardp.Instance{mc, &rowed} {
+			gd := blocked.Solve(form, blocked.Options{TileSize: b}).Table.Data()
+			for c := range wantMC {
+				if wantMC[c] != gd[c] {
+					t.Fatalf("blocked B=%d diverges from sequential bitwise on matrix chain n=%d seed=%d (FProduct set: %v)",
+						b, n, seed, form.FProduct != nil)
+				}
+			}
+		}
 	})
 }
 

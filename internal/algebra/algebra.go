@@ -166,6 +166,19 @@ type Kernel interface {
 	RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc)
 	RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost)
 
+	// RelaxSplitRowProduct is the single-split run with F in product
+	// form (Instance.FProduct): the f run is never materialised, each
+	// candidate's f is computed in the loop as
+	//
+	//	fRow[t] = cost.Cost(scale * w[t])
+	//
+	// (callers pass scale = FProduct[i]*FProduct[k] and
+	// w = FProduct[j0:j0+m]). spl == nil folds like RelaxSplitRow;
+	// otherwise it records like RelaxSplitRowRec. Value and split writes
+	// must be bit-for-bit those of filling fRow that way and calling
+	// RelaxSplitRow / RelaxSplitRowRec.
+	RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, scale int64, w []int64)
+
 	// RelaxSplitCellRec is the range-clipped single-cell form the
 	// Knuth–Yao pruned engine closes cells with: it folds the candidate
 	// run k in [ka,kb) into the one destination cell (i,j), recording
@@ -514,6 +527,51 @@ func (MinPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, 
 	}
 }
 
+// RelaxSplitRowProduct is RelaxSplitRow(Rec) with f = scale*w[t]
+// computed in the loop instead of read from a row buffer — the same
+// pruning, the same tie discipline, one branch on recording outside
+// the loop.
+func (MinPlus) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, scale int64, w []int64) {
+	if m <= 0 {
+		return
+	}
+	left := tab[i*stride+k]
+	if left >= posInf {
+		return
+	}
+	dst := tab[i*stride+j0 : i*stride+j0+m]
+	src := tab[k*stride+j0 : k*stride+j0+m][:len(dst)]
+	w = w[:len(dst)]
+	if spl == nil {
+		for t := range dst {
+			fv := cost.Cost(scale * w[t])
+			if fv >= posInf {
+				continue
+			}
+			if v := left + fv + src[t]; v < dst[t] {
+				dst[t] = v
+			}
+		}
+		return
+	}
+	dsp := spl[i*stride+j0 : i*stride+j0+m]
+	for t := range dst {
+		fv := cost.Cost(scale * w[t])
+		if fv >= posInf {
+			continue
+		}
+		v := left + fv + src[t]
+		if v < dst[t] {
+			dst[t] = v
+			dsp[t] = int32(k)
+		} else if v == dst[t] && v < posInf {
+			if s := dsp[t]; s < 0 || int32(k) < s {
+				dsp[t] = int32(k)
+			}
+		}
+	}
+}
+
 // RelaxSplitCellRec is the min-plus clipped cell closure: one
 // destination cell, candidates [ka,kb), best and split carried in
 // registers and stored once. Pruning and tie discipline are those of
@@ -844,6 +902,57 @@ func (MaxPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, 
 	}
 }
 
+// RelaxSplitRowProduct is RelaxSplitRow(Rec) with f = scale*w[t]
+// computed in the loop, pruning every factor at -Inf.
+func (MaxPlus) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, scale int64, w []int64) {
+	if m <= 0 {
+		return
+	}
+	left := tab[i*stride+k]
+	if left <= negInf {
+		return
+	}
+	dst := tab[i*stride+j0 : i*stride+j0+m]
+	src := tab[k*stride+j0 : k*stride+j0+m][:len(dst)]
+	w = w[:len(dst)]
+	if spl == nil {
+		for t := range dst {
+			r := src[t]
+			if r <= negInf {
+				continue
+			}
+			fv := cost.Cost(scale * w[t])
+			if fv <= negInf {
+				continue
+			}
+			if v := left + fv + r; v > dst[t] {
+				dst[t] = v
+			}
+		}
+		return
+	}
+	dsp := spl[i*stride+j0 : i*stride+j0+m]
+	for t := range dst {
+		r := src[t]
+		if r <= negInf {
+			continue
+		}
+		fv := cost.Cost(scale * w[t])
+		if fv <= negInf {
+			continue
+		}
+		v := left + fv + r
+		if v > dst[t] {
+			dst[t] = v
+			dsp[t] = int32(k)
+		} else if v == dst[t] && v > negInf {
+			if s := dsp[t]; s < 0 || int32(k) < s {
+				dsp[t] = int32(k)
+			}
+		}
+	}
+}
+
 // RelaxSplitCellRec is the max-plus clipped cell closure, pruning every
 // factor at -Inf under RelaxSplitPanelRec's tie discipline.
 func (MaxPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
@@ -1110,6 +1219,12 @@ func (BoolPlan) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0,
 			dsp[t] = int32(k)
 		}
 	}
+}
+
+// RelaxSplitRowProduct runs the shared scalar fallback: no shipped
+// bool-plan family declares a product-form F.
+func (b BoolPlan) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, scale int64, w []int64) {
+	relaxSplitRowProductGeneric(b, tab, spl, stride, i, k, j0, m, scale, w)
 }
 
 // RelaxSplitCellRec is the bool-plan clipped cell closure: once the

@@ -234,6 +234,7 @@ func TestRelaxRowsMatchesPanelEncoding(t *testing.T) {
 func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(99))
+	rngP := rand.New(rand.NewSource(991)) // product-form draws; rng's sequence stays as it was
 	const stride = 16
 	for trial := 0; trial < 300; trial++ {
 		for _, k := range kernels {
@@ -281,6 +282,20 @@ func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 						k.Name(), c, tabA[c], tabC[c], i, ka, j0, m)
 				}
 			}
+
+			// RelaxSplitRowProduct against an FPanel-style fill of the same
+			// product run followed by RelaxSplitRow.
+			sprinkleExtremes(rngP, k, tabA)
+			scale, w, fProd := productRun(rngP, m)
+			tabD := append([]cost.Cost(nil), tabA...)
+			k.RelaxSplitRowProduct(tabA, nil, stride, i, ka, j0, m, scale, w)
+			k.RelaxSplitRow(tabD, stride, i, ka, j0, m, fProd)
+			for c := range tabA {
+				if tabA[c] != tabD[c] {
+					t.Fatalf("%s: RelaxSplitRowProduct diverges from fill + RelaxSplitRow at %d (%d vs %d), i=%d k=%d j0=%d m=%d scale=%d w=%v",
+						k.Name(), c, tabA[c], tabD[c], i, ka, j0, m, scale, w)
+				}
+			}
 		}
 	}
 }
@@ -292,6 +307,7 @@ func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 func TestSplitRecPrimitivesMatchGenericWalk(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(123))
+	rngP := rand.New(rand.NewSource(1231)) // product-form draws; rng's sequence stays as it was
 	const stride = 16
 	for trial := 0; trial < 300; trial++ {
 		for _, k := range kernels {
@@ -358,8 +374,75 @@ func TestSplitRecPrimitivesMatchGenericWalk(t *testing.T) {
 						k.Name(), c, tabA[c], tabPlain[c], i, ka, j0, m)
 				}
 			}
+
+			// RelaxSplitRowProduct recording against an FPanel-style fill +
+			// RelaxSplitRowRec, and its spl == nil form against the
+			// recording values.
+			sprinkleExtremes(rngP, k, tabA)
+			scale, w, fProd := productRun(rngP, m)
+			tabD := append([]cost.Cost(nil), tabA...)
+			splD := append([]int32(nil), splA...)
+			tabPlain = append(tabPlain[:0], tabA...)
+			k.RelaxSplitRowProduct(tabA, splA, stride, i, ka, j0, m, scale, w)
+			k.RelaxSplitRowRec(tabD, splD, stride, i, ka, j0, m, fProd)
+			k.RelaxSplitRowProduct(tabPlain, nil, stride, i, ka, j0, m, scale, w)
+			for c := range tabA {
+				if tabA[c] != tabD[c] || splA[c] != splD[c] {
+					t.Fatalf("%s: recording RelaxSplitRowProduct diverges from fill + RelaxSplitRowRec at %d (val %d vs %d, spl %d vs %d), i=%d k=%d j0=%d m=%d scale=%d w=%v",
+						k.Name(), c, tabA[c], tabD[c], splA[c], splD[c], i, ka, j0, m, scale, w)
+				}
+				if tabA[c] != tabPlain[c] {
+					t.Fatalf("%s: product recording changed a value at %d (%d vs %d), i=%d k=%d j0=%d m=%d",
+						k.Name(), c, tabA[c], tabPlain[c], i, ka, j0, m)
+				}
+			}
 		}
 	}
+}
+
+// sprinkleExtremes overwrites a few table cells — left factors and
+// source cells alike — with the sentinels the product kernels prune on:
+// +Inf, -Inf and the algebra's Zero.
+func sprinkleExtremes(rng *rand.Rand, k Kernel, tab []cost.Cost) {
+	extremes := []cost.Cost{cost.Inf, -cost.Inf, k.Zero()}
+	for c := range tab {
+		if rng.Intn(6) == 0 {
+			tab[c] = extremes[rng.Intn(len(extremes))]
+		}
+	}
+}
+
+// productRun draws a product-form f run — scale and weights mixing
+// zeros, ones, small values, the ±Inf sentinels (so scale 1 lands f
+// exactly on a pruning boundary) and full-width int64s whose products
+// wrap — and returns it with its FPanel-style fill f[t] = scale*w[t].
+func productRun(rng *rand.Rand, m int) (scale int64, w []int64, f []cost.Cost) {
+	draw := func() int64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			return int64(cost.Inf)
+		case 3:
+			return -int64(cost.Inf)
+		case 4:
+			return rng.Int63()
+		default:
+			return 1 + rng.Int63n(40)
+		}
+	}
+	w = make([]int64, m)
+	for t := range w {
+		w[t] = draw()
+	}
+	scale = draw()
+	f = make([]cost.Cost, m)
+	for t := range f {
+		f[t] = cost.Cost(scale * w[t])
+	}
+	return scale, w, f
 }
 
 // RelaxSplitCellRec is specified as exactly the m=1 panel form — the

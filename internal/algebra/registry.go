@@ -173,6 +173,10 @@ func (d derived) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0
 	relaxSplitRowRecGeneric(d, tab, spl, stride, i, k, j0, m, fRow)
 }
 
+func (d derived) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, scale int64, w []int64) {
+	relaxSplitRowProductGeneric(d, tab, spl, stride, i, k, j0, m, scale, w)
+}
+
 func (d derived) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
 	relaxSplitCellRecGeneric(d, tab, spl, stride, i, ka, kb, j, f)
 }
@@ -298,6 +302,33 @@ func relaxSplitRowRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, 
 			tab[d] = v
 			spl[d] = int32(s)
 		} else if !k.Better(tab[d], v) && !k.IsZero(v) {
+			if cur := spl[d]; cur < 0 || int32(s) < cur {
+				spl[d] = int32(s)
+			}
+		}
+	}
+}
+
+// relaxSplitRowProductGeneric is the scalar RelaxSplitRowProduct that
+// bool-plan and promoted semirings share: the reference row walks above
+// (recording when spl is non-nil) with each f computed in place as
+// scale*w[t] instead of read from a pre-evaluated run.
+func relaxSplitRowProductGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, s, j0, m int, scale int64, w []int64) {
+	left := tab[i*stride+s]
+	if k.IsZero(left) {
+		return
+	}
+	row := i * stride
+	for t := 0; t < m; t++ {
+		j := j0 + t
+		d := row + j
+		v := k.Extend3(cost.Cost(scale*w[t]), left, tab[s*stride+j])
+		if k.Better(v, tab[d]) {
+			tab[d] = v
+			if spl != nil {
+				spl[d] = int32(s)
+			}
+		} else if spl != nil && !k.Better(tab[d], v) && !k.IsZero(v) {
 			if cur := spl[d]; cur < 0 || int32(s) < cur {
 				spl[d] = int32(s)
 			}

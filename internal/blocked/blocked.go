@@ -36,13 +36,17 @@
 //     closure sweeps contiguous panels; all tiles of the diagonal close
 //     in parallel.
 //
-// The bulk primitives evaluate the instance's F inside the kernel body
-// (RelaxSplitPanel), or consume a pre-evaluated f run when the instance
-// provides a bulk form (Instance.FPanel → RelaxSplitRow), so every
-// registered algebra runs at one indirect call per panel and the
-// min-plus loops stay scalar-fast. Results are bitwise identical to
-// the sequential DP under every lawful algebra: candidates form the same
-// multiset and Combine is associative, commutative and idempotent.
+// F reaches the bulk primitives in one of three tiers, the cheapest the
+// instance declares: a product form (Instance.FProduct →
+// RelaxSplitRowProduct) computes f = w_i·w_k·w_j inside the fold with no
+// f buffer; a row form (Instance.FPanel → RelaxSplitRow) fills one f run
+// per split into a worker buffer and folds it as a third stream; with
+// neither, RelaxSplitPanel evaluates F per candidate inside the kernel
+// body. Every registered algebra runs at one indirect call per panel
+// and the min-plus loops stay scalar-fast. Results are bitwise
+// identical to the sequential DP under every lawful algebra: candidates
+// form the same multiset and Combine is associative, commutative and
+// idempotent.
 //
 // TileSize is the engine's processor knob: B ~ n/(4p) (the auto
 // default) spreads p workers across a wavefront, larger B trades

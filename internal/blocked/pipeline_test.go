@@ -194,6 +194,7 @@ func TestPipeBatchCancellationIsolation(t *testing.T) {
 	var calls atomic.Int64
 	inA := *base
 	inA.FPanel = nil // force the per-candidate F path so the trap sees every fold
+	inA.FProduct = nil
 	inA.F = func(i, k, j int) cost.Cost {
 		if calls.Add(1) == 5000 {
 			cancelA()

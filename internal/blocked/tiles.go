@@ -27,6 +27,7 @@ type tileSolver[S algebra.Kernel] struct {
 	splits []int32
 	f      algebra.SplitFunc
 	fPanel func(i, k, j0 int, dst []cost.Cost)
+	fProd  []int64
 	res    *Result
 }
 
@@ -73,7 +74,8 @@ func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, recor
 	return &tileSolver[S]{
 		sr: sr, n: n, b: b, size: size, nb: (size + b - 1) / b,
 		stride: stride, data: data, splits: splits,
-		f: algebra.SplitFunc(in.F), fPanel: in.FPanel, res: res,
+		f: algebra.SplitFunc(in.F), fPanel: in.FPanel, fProd: in.FProduct,
+		res: res,
 	}
 }
 
@@ -87,24 +89,35 @@ func (t *tileSolver[S]) hi(B int) int {
 	return v
 }
 
-// relaxRun folds split k into the m cells (i, j0..j0+m-1). With a bulk F
-// (Instance.FPanel) the f run fills in one tight loop and the
-// three-stream RelaxSplitRow consumes it; otherwise RelaxSplitPanel
+// rowF reports that the instance declares a bulk F form (product or
+// row panel), so split runs fold one split at a time through relaxRun.
+func (t *tileSolver[S]) rowF() bool { return t.fProd != nil || t.fPanel != nil }
+
+// relaxRun folds split k into the m cells (i, j0..j0+m-1) through the
+// cheapest F form the instance declares: a product form
+// (Instance.FProduct) folds with no f buffer at all —
+// RelaxSplitRowProduct computes f = w[i]*w[k]*w[j] in the loop; a bulk
+// row form (Instance.FPanel) fills the f run into fbuf in one tight loop
+// for the three-stream RelaxSplitRow; otherwise RelaxSplitPanel
 // evaluates F per candidate inside the kernel body.
 func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
 	if m <= 0 {
 		return
 	}
-	if t.fPanel != nil {
+	switch {
+	case t.fProd != nil:
+		t.sr.RelaxSplitRowProduct(t.data, t.splits, t.stride, i, k, j0, m,
+			t.fProd[i]*t.fProd[k], t.fProd[j0:j0+m])
+	case t.fPanel != nil:
 		t.fPanel(i, k, j0, fbuf[:m])
 		if t.splits != nil {
 			t.sr.RelaxSplitRowRec(t.data, t.splits, t.stride, i, k, j0, m, fbuf)
 		} else {
 			t.sr.RelaxSplitRow(t.data, t.stride, i, k, j0, m, fbuf)
 		}
-	} else if t.splits != nil {
+	case t.splits != nil:
 		t.sr.RelaxSplitPanelRec(t.data, t.splits, t.stride, i, k, k+1, j0, m, t.f)
-	} else {
+	default:
 		t.sr.RelaxSplitPanel(t.data, t.stride, i, k, k+1, j0, m, t.f)
 	}
 }
@@ -128,7 +141,7 @@ func (t *tileSolver[S]) relaxPanel(i, ka, kb, j0, m int) {
 func (t *tileSolver[S]) foldRowInterior(fbuf []cost.Cost, i, I, J int) int64 {
 	j0, m := t.lo(J), t.hi(J)-t.lo(J)
 	for K := I + 1; K < J; K++ {
-		if t.fPanel != nil {
+		if t.rowF() {
 			for k := t.lo(K); k < t.hi(K); k++ {
 				t.relaxRun(fbuf, i, k, j0, m)
 			}
@@ -163,7 +176,7 @@ func (t *tileSolver[S]) closeTile(fbuf []cost.Cost, I, J int) int64 {
 	}
 	m := j1 - j0
 	for i := i1 - 1; i >= i0; i-- {
-		if t.fPanel != nil {
+		if t.rowF() {
 			for k := i + 1; k < i1; k++ {
 				t.relaxRun(fbuf, i, k, j0, m)
 			}

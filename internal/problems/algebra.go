@@ -49,6 +49,7 @@ func WorstCaseMatrixChain(dims []int) *recurrence.Instance {
 				dst[t] = cost.Cost(dik * row[t])
 			}
 		},
+		FProduct: d,
 	}
 }
 

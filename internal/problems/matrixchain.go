@@ -47,6 +47,7 @@ func MatrixChain(dims []int) *recurrence.Instance {
 				dst[t] = cost.Cost(dik * row[t])
 			}
 		},
+		FProduct: d,
 	}
 }
 

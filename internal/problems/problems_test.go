@@ -226,9 +226,23 @@ func TestRandomInstanceValid(t *testing.T) {
 }
 
 // Every constructor that ships a bulk FPanel must agree with its scalar
-// F on all arguments — Validate cross-checks the two cell by cell, and
-// materialisation must preserve the contract through its flat-copy form.
+// F on all arguments — Validate cross-checks the two cell by cell (and
+// FProduct too, where declared), and materialisation must preserve the
+// contract through its flat-copy form.
 func TestFPanelAgreesWithF(t *testing.T) {
+	products := []*recurrence.Instance{
+		RandomMatrixChain(13, 40, 3),
+		WorstCaseMatrixChain([]int{7, 3, 9, 2, 5}),
+		WeightedTriangulation([]int64{3, 1, 4, 1, 5, 9, 2, 6}),
+	}
+	for _, in := range products {
+		if in.FProduct == nil || in.FPanel == nil {
+			t.Errorf("%s: product constructor must set both FProduct and FPanel", in.Name)
+		}
+	}
+	if RandomMatrixChain(12, 25, 9).Materialize().FProduct != nil {
+		t.Error("Materialize kept FProduct; the flat-table copy must not declare it")
+	}
 	ins := []*recurrence.Instance{
 		RandomMatrixChain(13, 40, 3),
 		RandomOBST(11, 30, 5),

@@ -92,6 +92,7 @@ func WeightedTriangulation(weights []int64) *recurrence.Instance {
 				dst[t] = cost.Cost(wik * row[t])
 			}
 		},
+		FProduct: ws,
 	}
 }
 

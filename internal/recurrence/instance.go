@@ -42,6 +42,24 @@ type Instance struct {
 	// it; Materialize always provides one (a flat-table copy).
 	FPanel func(i, k, j0 int, dst []cost.Cost)
 
+	// FProduct, when non-nil, declares that F is a vertex-weight product:
+	// it has length N+1 and
+	//
+	//	F(i,k,j) == cost.Cost(FProduct[i]*FProduct[k]*FProduct[j])
+	//
+	// on every argument — the same int64 product, in the same order
+	// (left to right, wrapping as int64 does). Like FPanel it is
+	// semantically redundant with F (Validate cross-checks every cell);
+	// the blocked engine folds it directly through
+	// algebra.Kernel.RelaxSplitRowProduct, with no f row buffer at all.
+	// Matrix chain and its product-form relatives set it and keep their
+	// FPanel; Materialize leaves it nil.
+	//
+	// Whoever copies an instance and replaces F must clear FProduct and
+	// FPanel too, or engines that prefer the bulk forms will never call
+	// the replacement.
+	FProduct []int64
+
 	// Name labels the instance in experiment tables and error messages.
 	Name string
 
@@ -150,6 +168,10 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("recurrence: init(%d) = %d is negative", i, v)
 		}
 	}
+	w := in.FProduct
+	if w != nil && len(w) != in.N+1 {
+		return fmt.Errorf("recurrence: instance %q has len(FProduct) = %d, need N+1 = %d", in.Name, len(w), in.N+1)
+	}
 	var panelRow []cost.Cost
 	if in.FPanel != nil {
 		panelRow = make([]cost.Cost, in.N+1)
@@ -167,6 +189,11 @@ func (in *Instance) Validate() error {
 				if panelRow != nil && panelRow[j-k-1] != v {
 					return fmt.Errorf("recurrence: FPanel(%d,%d,%d) = %d disagrees with F = %d",
 						i, k, j, panelRow[j-k-1], v)
+				}
+				if w != nil {
+					if p := cost.Cost(w[i] * w[k] * w[j]); p != v {
+						return fmt.Errorf("recurrence: FProduct(%d,%d,%d) = %d disagrees with F = %d", i, k, j, p, v)
+					}
 				}
 			}
 		}
@@ -242,7 +269,8 @@ func (in *Instance) NumNodes() int {
 // Materialize returns a copy of the instance whose F and Init are backed
 // by precomputed flat tables, so that repeated solver runs pay no closure
 // or recomputation overhead. It allocates O(N^3) memory; callers should
-// materialise only at benchmark-scale N.
+// materialise only at benchmark-scale N. The copy carries no FProduct:
+// it measures the flat-table form, whatever F's shape.
 func (in *Instance) Materialize() *Instance {
 	n := in.N
 	ini := make([]cost.Cost, n)

@@ -60,6 +60,48 @@ func TestValidateRejectsNegativeF(t *testing.T) {
 	}
 }
 
+// product returns a product-form instance over weights w: F is the
+// int64 product w_i*w_k*w_j and FProduct declares it.
+func product(w []int64) *Instance {
+	return &Instance{
+		N:        len(w) - 1,
+		Name:     "product",
+		Init:     func(i int) cost.Cost { return 0 },
+		F:        func(i, k, j int) cost.Cost { return cost.Cost(w[i] * w[k] * w[j]) },
+		FProduct: w,
+	}
+}
+
+func TestValidateAcceptsFProduct(t *testing.T) {
+	if err := product([]int64{3, 1, 4, 1, 5, 9}).Validate(); err != nil {
+		t.Fatalf("consistent FProduct rejected: %v", err)
+	}
+}
+
+func TestValidateRejectsFProductLength(t *testing.T) {
+	in := product([]int64{3, 1, 4, 1, 5, 9})
+	in.FProduct = in.FProduct[:in.N]
+	err := in.Validate()
+	if err == nil || !strings.Contains(err.Error(), "len(FProduct)") {
+		t.Fatalf("short FProduct not caught: %v", err)
+	}
+}
+
+func TestValidateRejectsFProductMismatch(t *testing.T) {
+	in := product([]int64{3, 1, 4, 1, 5, 9})
+	f := in.F
+	in.F = func(i, k, j int) cost.Cost {
+		if i == 1 && k == 3 && j == 4 {
+			return f(i, k, j) + 1
+		}
+		return f(i, k, j)
+	}
+	err := in.Validate()
+	if err == nil || !strings.Contains(err.Error(), "FProduct(1,3,4)") {
+		t.Fatalf("FProduct disagreeing with F in one cell not caught: %v", err)
+	}
+}
+
 func TestNumNodes(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 3, 3: 6, 10: 55}
 	for n, want := range cases {
