@@ -37,40 +37,14 @@ import (
 // the returned error; errors.Is(err, context.Canceled) reports a
 // cancelled batch.
 func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*Solution, error) {
-	cfg := buildConfig(opts)
-	if cfg.Engine == "" {
-		cfg.Engine = EngineAuto
-	}
-	workers := cfg.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(instances) {
-		workers = len(instances)
-	}
-	// Captured before the per-solve width is forced to 1: an overlapped
-	// pipe group IS the batch's parallelism (one shared scheduler), so it
-	// keeps the caller's intra-solve width (0 = pool width).
-	pipeWorkers := cfg.Workers
-	if cfg.Workers == 0 && workers > 1 {
-		cfg.Workers = 1
-	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = parutil.Default()
-		cfg.Pool = pool // every solve of the batch shares it
-	}
+	cfg, width, callerWorkers := batchConfig(opts, len(instances))
 	// One shared Solver does each solve, so batch slots get exactly the
 	// validation, timing and engine dispatch a direct Solve call gets.
 	solver, err := NewSolver(cfg.Engine, func(c *Config) { *c = cfg })
 	if err != nil {
 		return nil, err
 	}
-
 	out := make([]*Solution, len(instances))
-	if len(instances) == 0 {
-		return out, nil
-	}
 	errs := make([]error, len(instances))
 
 	// Cross-solve overlap: two or more instances destined for the
@@ -113,9 +87,12 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 		go func() {
 			defer close(pipeDone)
 			start := time.Now()
+			// An overlapped pipe group IS the batch's parallelism (one
+			// shared scheduler), so it keeps the caller's intra-solve
+			// width (0 = pool width), not the per-solve default of 1.
 			results, perrs := blocked.SolvePipeBatchCtx(ctx, items, blocked.Options{
-				Workers:      pipeWorkers,
-				Pool:         pool,
+				Workers:      callerWorkers,
+				Pool:         cfg.Pool,
 				TileSize:     cfg.TileSize,
 				Semiring:     cfg.Semiring,
 				RecordSplits: cfg.RecordSplits,
@@ -135,35 +112,63 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 		}()
 	}
 
-	// The fan-out for the remaining instances runs on the same pool as
-	// the solves (and as the pipe group's graph); grain 1 claims one
-	// instance at a time so slow solves balance.
-	rest := make([]int, 0, len(instances))
-	for i := range instances {
-		if !inPipe[i] {
-			rest = append(rest, i)
-		}
-	}
-	if len(rest) > 0 {
-		pool.ForChunked(workers, len(rest), 1, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				i := rest[r]
-				in := instances[i]
-				label := "<nil>"
-				if in != nil {
-					label = in.Name
-				}
-				sol, err := solver.Solve(ctx, in)
-				if err != nil {
-					errs[i] = fmt.Errorf("instance %d (%s): %w", i, label, err)
-					continue
-				}
-				out[i] = sol
-			}
-		})
-	}
+	fanOut(ctx, cfg.Pool, width, instances, inPipe, out, errs, "instance",
+		func(in *Instance) string { return in.Name }, solver.Solve)
 	if pipeDone != nil {
 		<-pipeDone
 	}
 	return out, errors.Join(errs...)
+}
+
+// batchConfig is the prologue SolveBatch and SolveChainBatch share: the
+// "auto" engine default, the fan-out width (WithConcurrency, default
+// GOMAXPROCS, at most one per item), per-solve Workers defaulted to 1
+// under batch-level parallelism, and one pool — WithPool's, else the
+// process-wide shared one — that the fan-out and every solve of the
+// batch dispatch onto. callerWorkers is WithWorkers as the caller set
+// it, before that default.
+func batchConfig(opts []Option, items int) (cfg Config, width, callerWorkers int) {
+	cfg = buildConfig(opts)
+	if cfg.Engine == "" {
+		cfg.Engine = EngineAuto // == ChainEngineAuto
+	}
+	width = cfg.Concurrency
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	width = min(width, items)
+	callerWorkers = cfg.Workers
+	if cfg.Workers == 0 && width > 1 {
+		cfg.Workers = 1
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = parutil.Default()
+	}
+	return cfg, width, callerWorkers
+}
+
+// fanOut is the fan-out SolveBatch and SolveChainBatch share: it solves
+// every items[i] not marked in skip on pool, width at a time, and
+// writes out[i] or errs[i] — the error wrapped with the item's noun,
+// index and name. Grain 1 claims one item at a time so slow solves
+// balance.
+func fanOut[T, S any](ctx context.Context, pool *Pool, width int, items []*T, skip []bool, out []*S, errs []error,
+	noun string, name func(*T) string, solve func(context.Context, *T) (*S, error)) {
+	pool.ForChunked(width, len(items), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if skip != nil && skip[i] {
+				continue
+			}
+			sol, err := solve(ctx, items[i])
+			if err != nil {
+				label := "<nil>"
+				if items[i] != nil {
+					label = name(items[i])
+				}
+				errs[i] = fmt.Errorf("%s %d (%s): %w", noun, i, label, err)
+				continue
+			}
+			out[i] = sol
+		}
+	})
 }

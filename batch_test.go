@@ -77,9 +77,25 @@ func TestSolveBatchFixedEngine(t *testing.T) {
 }
 
 func TestSolveBatchEmptyAndInvalid(t *testing.T) {
-	sols, err := sublineardp.SolveBatch(context.Background(), nil)
-	if err != nil || len(sols) != 0 {
-		t.Fatalf("empty batch: %v, %d solutions", err, len(sols))
+	// Both classes' batch entry points share one fan-out: an empty batch
+	// is an empty slice and a nil error for each.
+	empties := []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"SolveBatch", func() (int, error) {
+			sols, err := sublineardp.SolveBatch(context.Background(), nil)
+			return len(sols), err
+		}},
+		{"SolveChainBatch", func() (int, error) {
+			sols, err := sublineardp.SolveChainBatch(context.Background(), nil)
+			return len(sols), err
+		}},
+	}
+	for _, e := range empties {
+		if n, err := e.run(); err != nil || n != 0 {
+			t.Fatalf("%s empty batch: %v, %d solutions", e.name, err, n)
+		}
 	}
 
 	ins := []*sublineardp.Instance{
@@ -87,7 +103,7 @@ func TestSolveBatchEmptyAndInvalid(t *testing.T) {
 		nil, // invalid slot must not poison the others
 		sublineardp.NewMatrixChain([]int{4, 5, 6}),
 	}
-	sols, err = sublineardp.SolveBatch(context.Background(), ins)
+	sols, err := sublineardp.SolveBatch(context.Background(), ins)
 	if err == nil {
 		t.Fatal("batch with nil instance returned no error")
 	}
@@ -99,32 +115,66 @@ func TestSolveBatchEmptyAndInvalid(t *testing.T) {
 	}
 }
 
+// slowChain is slowInstance's chain twin: every transition weight sleeps
+// for delay, so a batch of them is slow enough to cancel mid-flight.
+func slowChain(n int, delay time.Duration) *sublineardp.Chain {
+	return &sublineardp.Chain{
+		N:    n,
+		Name: "slow",
+		F: func(k, j int) sublineardp.Cost {
+			time.Sleep(delay)
+			return sublineardp.Cost(j - k)
+		},
+	}
+}
+
 func TestSolveBatchCancellation(t *testing.T) {
-	// Enough slow instances that cancellation lands mid-batch.
-	var ins []*sublineardp.Instance
-	for i := 0; i < 16; i++ {
-		ins = append(ins, slowInstance(24, 50*time.Microsecond))
+	// Enough slow items that cancellation lands mid-batch, through
+	// either class's batch entry point (they share one fan-out).
+	const items = 16
+	batches := []struct {
+		name string
+		run  func(context.Context) (int, error)
+	}{
+		{"SolveBatch", func(ctx context.Context) (int, error) {
+			ins := make([]*sublineardp.Instance, items)
+			for i := range ins {
+				ins[i] = slowInstance(24, 50*time.Microsecond)
+			}
+			sols, err := sublineardp.SolveBatch(ctx, ins, sublineardp.WithConcurrency(2))
+			return len(sols), err
+		}},
+		{"SolveChainBatch", func(ctx context.Context) (int, error) {
+			chains := make([]*sublineardp.Chain, items)
+			for i := range chains {
+				chains[i] = slowChain(40, 50*time.Microsecond)
+			}
+			sols, err := sublineardp.SolveChainBatch(ctx, chains, sublineardp.WithConcurrency(2))
+			return len(sols), err
+		}},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(15 * time.Millisecond)
+	for _, b := range batches {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(15 * time.Millisecond)
+			cancel()
+		}()
+		start := time.Now()
+		n, err := b.run(ctx)
+		elapsed := time.Since(start)
 		cancel()
-	}()
-	start := time.Now()
-	sols, err := sublineardp.SolveBatch(ctx, ins, sublineardp.WithConcurrency(2))
-	elapsed := time.Since(start)
-	cancel()
-	if err == nil {
-		t.Fatal("cancelled batch returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(sols) != len(ins) {
-		t.Fatalf("result slice length %d, want %d", len(sols), len(ins))
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("cancelled batch took %v, want prompt return", elapsed)
+		if err == nil {
+			t.Fatalf("%s: cancelled batch returned no error", b.name)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", b.name, err)
+		}
+		if n != items {
+			t.Fatalf("%s: result slice length %d, want %d", b.name, n, items)
+		}
+		if elapsed > 500*time.Millisecond {
+			t.Errorf("%s: cancelled batch took %v, want prompt return", b.name, elapsed)
+		}
 	}
 }
 

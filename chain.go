@@ -4,15 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cache"
 	"sublineardp/internal/llp"
-	"sublineardp/internal/parutil"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
 	"sublineardp/internal/seq"
@@ -61,47 +57,19 @@ type ChainEngine interface {
 	SolveChain(ctx context.Context, c *Chain, cfg *Config) (*ChainSolution, error)
 }
 
-var chainRegistry = struct {
-	mu sync.RWMutex
-	m  map[string]ChainEngine
-}{m: make(map[string]ChainEngine)}
+var chainRegistry = &registry[ChainEngine]{kind: "chain engine", register: "RegisterChainEngine", m: map[string]ChainEngine{}}
 
 // RegisterChainEngine adds a chain engine to the registry under
 // e.Name(). It rejects nil engines, empty names, and duplicates. The
 // chain registry is separate from the interval one: the two recurrence
 // classes share names ("auto", "sequential") without colliding.
-func RegisterChainEngine(e ChainEngine) error {
-	if e == nil || e.Name() == "" {
-		return errors.New("sublineardp: RegisterChainEngine needs a non-nil engine with a non-empty name")
-	}
-	chainRegistry.mu.Lock()
-	defer chainRegistry.mu.Unlock()
-	if _, dup := chainRegistry.m[e.Name()]; dup {
-		return fmt.Errorf("sublineardp: chain engine %q already registered", e.Name())
-	}
-	chainRegistry.m[e.Name()] = e
-	return nil
-}
+func RegisterChainEngine(e ChainEngine) error { return chainRegistry.add(e) }
 
 // LookupChainEngine returns the chain engine registered under name.
-func LookupChainEngine(name string) (ChainEngine, bool) {
-	chainRegistry.mu.RLock()
-	defer chainRegistry.mu.RUnlock()
-	e, ok := chainRegistry.m[name]
-	return e, ok
-}
+func LookupChainEngine(name string) (ChainEngine, bool) { return chainRegistry.lookup(name) }
 
 // ChainEngines returns the sorted names of all registered chain engines.
-func ChainEngines() []string {
-	chainRegistry.mu.RLock()
-	defer chainRegistry.mu.RUnlock()
-	names := make([]string, 0, len(chainRegistry.m))
-	for name := range chainRegistry.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func ChainEngines() []string { return chainRegistry.names() }
 
 func init() {
 	for _, e := range []ChainEngine{
@@ -326,19 +294,10 @@ type ChainSolver struct {
 // picks "auto"). It fails on unknown names; see ChainEngines for the
 // registered set.
 func NewChainSolver(engine string, opts ...Option) (*ChainSolver, error) {
-	cfg := buildConfig(opts)
-	name := engine
-	if name == "" {
-		name = cfg.Engine
+	e, cfg, err := chainRegistry.solver(engine, opts)
+	if err != nil {
+		return nil, err
 	}
-	if name == "" {
-		name = ChainEngineAuto
-	}
-	e, ok := LookupChainEngine(name)
-	if !ok {
-		return nil, fmt.Errorf("sublineardp: unknown chain engine %q (registered: %v)", name, ChainEngines())
-	}
-	cfg.Engine = name
 	return &ChainSolver{engine: e, cfg: cfg}, nil
 }
 
@@ -370,13 +329,14 @@ func (s *ChainSolver) Solve(ctx context.Context, c *Chain) (*ChainSolution, erro
 	if s.cfg.Cache != nil {
 		if key, ok := chainSolveKey(c, s.engine.Name(), &s.cfg); ok {
 			start := time.Now()
-			sol, err := s.cfg.Cache.solveChain(ctx, key, func(fctx context.Context) (*ChainSolution, error) {
+			sol, via, err := s.cfg.Cache.chain.Do(ctx, key, func(fctx context.Context) (*ChainSolution, error) {
 				return s.solveDirect(fctx, c)
 			})
 			if err != nil {
 				return nil, err
 			}
-			if sol.Cached {
+			if via != cache.Computed {
+				sol.Cached = true
 				sol.Elapsed = time.Since(start)
 			}
 			return sol, nil
@@ -401,50 +361,15 @@ func (s *ChainSolver) solveDirect(ctx context.Context, c *Chain) (*ChainSolution
 // Workers defaulted to 1 under batch-level parallelism, order-stable
 // complete results, per-index error wrapping, cooperative cancellation.
 func SolveChainBatch(ctx context.Context, chains []*Chain, opts ...Option) ([]*ChainSolution, error) {
-	cfg := buildConfig(opts)
-	if cfg.Engine == "" {
-		cfg.Engine = ChainEngineAuto
-	}
-	workers := cfg.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	if cfg.Workers == 0 && workers > 1 {
-		cfg.Workers = 1
-	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = parutil.Default()
-		cfg.Pool = pool
-	}
+	cfg, width, _ := batchConfig(opts, len(chains))
 	solver, err := NewChainSolver(cfg.Engine, func(c *Config) { *c = cfg })
 	if err != nil {
 		return nil, err
 	}
-
 	out := make([]*ChainSolution, len(chains))
-	if len(chains) == 0 {
-		return out, nil
-	}
 	errs := make([]error, len(chains))
-	pool.ForChunked(workers, len(chains), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := chains[i]
-			label := "<nil>"
-			if c != nil {
-				label = c.Name
-			}
-			sol, err := solver.Solve(ctx, c)
-			if err != nil {
-				errs[i] = fmt.Errorf("chain %d (%s): %w", i, label, err)
-				continue
-			}
-			out[i] = sol
-		}
-	})
+	fanOut(ctx, cfg.Pool, width, chains, nil, out, errs, "chain",
+		func(c *Chain) string { return c.Name }, solver.Solve)
 	return out, errors.Join(errs...)
 }
 

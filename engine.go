@@ -89,46 +89,85 @@ const (
 	EngineSemiring = "semiring"
 )
 
-var engineRegistry = struct {
-	mu sync.RWMutex
-	m  map[string]Engine
-}{m: make(map[string]Engine)}
+// registry is the one name → engine table implementation behind both
+// engine registries: engineRegistry (Engine, the interval recurrence)
+// and chainRegistry (ChainEngine). They are separate values, so the two
+// recurrence classes share names ("auto", "sequential") without
+// colliding.
+type registry[E interface{ Name() string }] struct {
+	kind     string // "engine" / "chain engine", for error messages
+	register string // the exported registering function, for error messages
 
-// RegisterEngine adds an engine to the registry under e.Name(). It
-// rejects nil engines, empty names, and duplicates, so built-ins cannot
-// be replaced by accident.
-func RegisterEngine(e Engine) error {
-	if e == nil || e.Name() == "" {
-		return errors.New("sublineardp: RegisterEngine needs a non-nil engine with a non-empty name")
+	mu sync.RWMutex
+	m  map[string]E
+}
+
+var engineRegistry = &registry[Engine]{kind: "engine", register: "RegisterEngine", m: map[string]Engine{}}
+
+// add registers e under e.Name(), rejecting nil engines, empty names,
+// and duplicates, so built-ins cannot be replaced by accident.
+func (r *registry[E]) add(e E) error {
+	if any(e) == nil || e.Name() == "" {
+		return fmt.Errorf("sublineardp: %s needs a non-nil engine with a non-empty name", r.register)
 	}
-	engineRegistry.mu.Lock()
-	defer engineRegistry.mu.Unlock()
-	if _, dup := engineRegistry.m[e.Name()]; dup {
-		return fmt.Errorf("sublineardp: engine %q already registered", e.Name())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.m[e.Name()]; dup {
+		return fmt.Errorf("sublineardp: %s %q already registered", r.kind, e.Name())
 	}
-	engineRegistry.m[e.Name()] = e
+	r.m[e.Name()] = e
 	return nil
 }
 
-// LookupEngine returns the engine registered under name.
-func LookupEngine(name string) (Engine, bool) {
-	engineRegistry.mu.RLock()
-	defer engineRegistry.mu.RUnlock()
-	e, ok := engineRegistry.m[name]
+func (r *registry[E]) lookup(name string) (E, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.m[name]
 	return e, ok
 }
 
-// Engines returns the sorted names of all registered engines.
-func Engines() []string {
-	engineRegistry.mu.RLock()
-	defer engineRegistry.mu.RUnlock()
-	names := make([]string, 0, len(engineRegistry.m))
-	for name := range engineRegistry.m {
+func (r *registry[E]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.m))
+	for name := range r.m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
+
+// solver resolves a solver constructor's engine name — "" picks the
+// configured engine, else "auto" — and returns the engine with the
+// built configuration. It fails on unknown names, listing the
+// registered set.
+func (r *registry[E]) solver(engine string, opts []Option) (E, Config, error) {
+	cfg := buildConfig(opts)
+	name := engine
+	if name == "" {
+		name = cfg.Engine
+	}
+	if name == "" {
+		name = EngineAuto // == ChainEngineAuto
+	}
+	e, ok := r.lookup(name)
+	if !ok {
+		return e, cfg, fmt.Errorf("sublineardp: unknown %s %q (registered: %v)", r.kind, name, r.names())
+	}
+	cfg.Engine = name
+	return e, cfg, nil
+}
+
+// RegisterEngine adds an engine to the registry under e.Name(). It
+// rejects nil engines, empty names, and duplicates, so built-ins cannot
+// be replaced by accident.
+func RegisterEngine(e Engine) error { return engineRegistry.add(e) }
+
+// LookupEngine returns the engine registered under name.
+func LookupEngine(name string) (Engine, bool) { return engineRegistry.lookup(name) }
+
+// Engines returns the sorted names of all registered engines.
+func Engines() []string { return engineRegistry.names() }
 
 // EngineInfo describes one registered engine for CLI listings: what it
 // implements and which functional options it honours.

@@ -195,3 +195,71 @@ func TestSingleFlightErrorPropagates(t *testing.T) {
 		t.Fatalf("second call got %v %v", v, err)
 	}
 }
+
+// TestStoreTagsAndPrivateCopies pins the Store protocol every cache
+// caller shares: one computation for concurrent identical callers, each
+// answered with its own Via tag (one Computed leader, the rest
+// Coalesced, later callers Hit), every answer a private copy — so no
+// caller can reach the resident value — and a failed computation
+// cached nowhere.
+func TestStoreTagsAndPrivateCopies(t *testing.T) {
+	type sol struct{ v int }
+	s := NewStore[sol](8)
+	boom := errors.New("boom")
+	if _, _, err := s.Do(context.Background(), keyOf("k"), func(context.Context) (*sol, error) {
+		return nil, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+
+	var calls atomic.Int64
+	release := make(chan struct{})
+	const callers = 6
+	got := make([]*sol, callers)
+	vias := make([]Via, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, via, err := s.Do(context.Background(), keyOf("k"), func(context.Context) (*sol, error) {
+				calls.Add(1)
+				<-release
+				return &sol{v: 42}, nil
+			})
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+			got[i], vias[i] = v, via
+		}(i)
+	}
+	for f := s.FlightStats(); f.Executions+f.Dedups < callers+1; f = s.FlightStats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("compute ran %d times, want 1", calls.Load())
+	}
+	count := map[Via]int{}
+	for i, v := range got {
+		count[vias[i]]++
+		if v == nil || v.v != 42 {
+			t.Fatalf("caller %d got %+v", i, v)
+		}
+		v.v = -1 // a caller mutating its answer must not reach anyone else's
+	}
+	if count[Computed] != 1 || count[Coalesced] != callers-1 {
+		t.Fatalf("tags %v, want 1 computed / %d coalesced", count, callers-1)
+	}
+	v, via, err := s.Do(context.Background(), keyOf("k"), func(context.Context) (*sol, error) {
+		t.Error("a resident key was recomputed")
+		return nil, nil
+	})
+	if err != nil || via != Hit || v.v != 42 {
+		t.Fatalf("repeat: %+v %v %v, want the untouched value as a hit", v, via, err)
+	}
+	if s.Len() != 1 || s.Stats().Hits != 1 {
+		t.Fatalf("len %d stats %+v, want 1 resident / 1 hit", s.Len(), s.Stats())
+	}
+}

@@ -1,7 +1,8 @@
 // Package cache provides the content-addressed solution cache under the
 // serving layer and the root WithCache solver option: canonical-instance
-// hashing, a sharded LRU, and a single-flight group that folds identical
-// in-flight computations into one.
+// hashing, a sharded LRU, a single-flight group that folds identical
+// in-flight computations into one, and Store, the protocol over the two
+// that every caller (both recurrence classes, root and server) shares.
 //
 // The package is deliberately generic — it stores any value type and
 // knows nothing about instances or solutions — so it cannot create an

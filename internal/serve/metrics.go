@@ -32,7 +32,7 @@ type metrics struct {
 	coalesced atomic.Int64 // folded into an identical in-flight solve
 	solved    atomic.Int64 // led a flight: an engine actually ran
 
-	batches       atomic.Int64 // SolveBatch calls issued by the batcher
+	batches       atomic.Int64 // batch calls (SolveBatch or SolveChainBatch) issued by the batcher
 	batchSolves   atomic.Int64 // instances across all batches (== solved when healthy)
 	queueDepth    atomic.Int64 // currently admitted requests (gauge)
 	cacheEntries  func() int   // resident LRU entries (gauge)

@@ -188,7 +188,8 @@ func directDigest(t *testing.T, req *wire.Request) (string, int64) {
 }
 
 func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 16})
+	// MaxNHeavy admits the mix's explicit n=80 hlv-banded request.
+	srv, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 16, MaxNHeavy: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +316,9 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 	<-eng.entered // the one leader's solve is in the engine
 	// Hold the flight open until every other request has joined it.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.group.Stats().Dedups < concurrent-1 {
+	for srv.interval.store.FlightStats().Dedups < concurrent-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("joiners never folded: group stats %+v", srv.group.Stats())
+			t.Fatalf("joiners never folded: group stats %+v", srv.interval.store.FlightStats())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -982,5 +983,101 @@ func TestE2EChainBadRequests(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.BadRequests != int64(len(bad)) {
 		t.Fatalf("bad requests %d, want %d", m.BadRequests, len(bad))
+	}
+}
+
+// TestE2EBatcherKeepsClassesApart is the wall for the class-generic
+// protocol: interval and chain requests that resolve to the same engine
+// name ("sequential") with identical options, all inside one batch
+// window, must split into one batch call per class — never a chain in a
+// SolveBatch or an instance in a SolveChainBatch — answer bitwise like
+// direct Solver / ChainSolver solves, and repeat as cache hits of their
+// own class's store only.
+func TestE2EBatcherKeepsClassesApart(t *testing.T) {
+	srv, err := New(Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startLoopback(t, srv)
+	client := &http.Client{Timeout: 60 * time.Second}
+
+	seq := wire.Options{Engine: "sequential"}
+	xs, ys := problems.RandomSeries(30, 5)
+	series := make([]wire.Point, len(xs))
+	for i := range xs {
+		series[i] = wire.Point{X: xs[i], Y: ys[i]}
+	}
+	poly := problems.RandomConvexPolygon(10, 1000, 3)
+	polygon := make([]wire.Point, len(poly))
+	for i, p := range poly {
+		polygon[i] = wire.Point{X: p.X, Y: p.Y}
+	}
+	starts, ends, weights := problems.RandomJobs(20, 6)
+	interval := []*wire.Request{
+		{ID: "mc", Kind: wire.KindMatrixChain, Dims: []int{30, 35, 15, 5, 10, 20, 25}, Options: seq},
+		{ID: "obst", Kind: wire.KindOBST, Alpha: []int64{1, 2, 1, 0, 1}, Beta: []int64{4, 2, 6, 3}, Options: seq},
+		{ID: "tri", Kind: wire.KindTriangulation, Points: polygon, Options: seq},
+	}
+	chain := []*wire.Request{
+		{ID: "segls", Kind: wire.KindSegLS, Points: series, Penalty: 500, Options: seq},
+		{ID: "wis", Kind: wire.KindWIS, Starts: starts, Ends: ends, Weights: weights, Options: seq},
+		{ID: "subsetsum", Kind: wire.KindSubsetSum, Target: 61, Items: []int64{7, 9, 13}, Options: seq},
+	}
+	want := map[string]string{}
+	for _, r := range interval {
+		want[r.ID], _ = directDigest(t, r)
+	}
+	for _, r := range chain {
+		want[r.ID], _ = directChainDigest(t, r)
+	}
+	all := append(append([]*wire.Request(nil), interval...), chain...)
+
+	post := func(r *wire.Request) *wire.Response {
+		body, _ := json.Marshal(r)
+		resp, err := client.Post(base+"/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: %v", r.ID, err)
+			return nil
+		}
+		defer resp.Body.Close()
+		var wr wire.Response
+		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d decode %v", r.ID, resp.StatusCode, err)
+			return nil
+		}
+		if wr.TableDigest != want[r.ID] {
+			t.Errorf("%s: served digest differs from the direct solve", r.ID)
+		}
+		return &wr
+	}
+
+	var wg sync.WaitGroup
+	for _, r := range all {
+		wg.Add(1)
+		go func(r *wire.Request) {
+			defer wg.Done()
+			if wr := post(r); wr != nil && (wr.Cached || wr.Coalesced) {
+				t.Errorf("%s: first request not solved", r.ID)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if m := srv.Metrics(); m.Batches != 2 || m.BatchInstances != int64(len(all)) {
+		t.Fatalf("metrics %+v, want 2 batches (one per class) of %d instances", m, len(all))
+	}
+
+	for _, r := range all {
+		if wr := post(r); wr != nil && !wr.Cached {
+			t.Errorf("%s: repeat not served from cache", r.ID)
+		}
+	}
+	if hits := srv.interval.store.Stats().Hits; hits != int64(len(interval)) {
+		t.Errorf("interval store hits %d, want %d", hits, len(interval))
+	}
+	if hits := srv.chain.store.Stats().Hits; hits != int64(len(chain)) {
+		t.Errorf("chain store hits %d, want %d", hits, len(chain))
+	}
+	if m := srv.Metrics(); m.Batches != 2 || m.CacheHits != int64(len(all)) {
+		t.Fatalf("metrics after repeats %+v, want still 2 batches and %d hits", m, len(all))
 	}
 }

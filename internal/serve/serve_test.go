@@ -153,9 +153,10 @@ func TestBadRequestsAre400(t *testing.T) {
 }
 
 // TestResourcePolicyRejections pins the engine-aware admission policy:
-// O(n^4)-memory engines get the stricter MaxNHeavy size bound, and the
-// per-request workers option is capped — both are single-request
-// denial-of-service vectors otherwise.
+// the superquadratic-memory engines — the O(n^4) hlv-dense, rytter and
+// semiring, and hlv-banded with its Θ(n^3) deficit buffer — get the
+// stricter MaxNHeavy size bound, and the per-request workers option is
+// capped — both are single-request denial-of-service vectors otherwise.
 func TestResourcePolicyRejections(t *testing.T) {
 	srv, hs := newTestServer(t, Config{MaxNHeavy: 16, MaxWorkers: 8})
 	bigDims := make([]int, 20) // n=19 > MaxNHeavy, fine for default engines
@@ -166,6 +167,7 @@ func TestResourcePolicyRejections(t *testing.T) {
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-dense"}},
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "rytter"}},
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "semiring"}},
+		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-banded"}},
 		{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}, Options: wire.Options{Workers: 9}},
 	}
 	for i, req := range rejected {
@@ -175,10 +177,11 @@ func TestResourcePolicyRejections(t *testing.T) {
 		}
 	}
 	accepted := []*wire.Request{
-		// Same size is fine on the banded engine...
-		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-banded"}},
-		// ...and on the O(n^2)-memory blocked engine, which is exempt
-		// from the heavy cap by design — it exists for big instances.
+		// The banded engine is fine up to the cap itself (n=16)...
+		{Kind: wire.KindMatrixChain, Dims: bigDims[:17], Options: wire.Options{Engine: "hlv-banded"}},
+		// ...the same size as the rejections is fine on the
+		// O(n^2)-memory blocked engine, which is exempt from the heavy
+		// cap by design — it exists for big instances...
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "blocked"}},
 		// ...and a small instance is fine on a heavy engine.
 		{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}, Options: wire.Options{Engine: "hlv-dense", Workers: 8}},
@@ -317,8 +320,9 @@ func TestAdmissionQueueShedsWith503(t *testing.T) {
 }
 
 func TestRequestTimeoutIs504(t *testing.T) {
-	srv, hs := newTestServer(t, Config{RequestTimeout: time.Millisecond})
-	// A banded solve of a big instance cannot finish in 1ms.
+	// A banded solve of a big instance cannot finish in 1ms; the heavy
+	// cap is raised so the request reaches the solve at all.
+	srv, hs := newTestServer(t, Config{RequestTimeout: time.Millisecond, MaxNHeavy: 300})
 	dims := make([]int, 301)
 	for i := range dims {
 		dims[i] = (i*37)%97 + 3

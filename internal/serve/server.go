@@ -13,9 +13,15 @@
 //     solving options, so a resident solution answers without touching
 //     the pool and identical in-flight requests fold into one solve.
 //   - a coalescing batcher: cache-missing flights are folded, within a
-//     BatchWindow, into SolveBatch calls on one shared pool — arrival
-//     concurrency becomes batch-level parallelism instead of goroutine
-//     oversubscription.
+//     BatchWindow, into one batch call per options signature on one
+//     shared pool — arrival concurrency becomes batch-level parallelism
+//     instead of goroutine oversubscription.
+//
+// The three run once, for both recurrence classes. handleSolve selects
+// the request's class — interval (SolveBatch) or chain
+// (SolveChainBatch) — and from there on the class is a descriptor the
+// one protocol consults: its engine registry, instance builder, cache
+// store and key domain, batch function and response builder.
 package serve
 
 import (
@@ -42,13 +48,14 @@ type Config struct {
 	Engine string
 	// MaxN rejects instances larger than this with 400 (default 4096;
 	// negative = unbounded). It bounds per-request memory for the
-	// engines the server routes to by default: a banded solve's working
-	// set grows as O(n^2.5).
+	// engines auto routes to, whose working set is O(n^2).
 	MaxN int
-	// MaxNHeavy is the stricter size bound for the O(n^4)-memory
-	// engines a request may name explicitly — hlv-dense, rytter,
-	// semiring (default 64; negative = unbounded). Without it one
-	// request for hlv-dense at n=256 would try to allocate ~70 GB.
+	// MaxNHeavy is the stricter size bound for the superquadratic-memory
+	// engines a request may name explicitly — hlv-dense, rytter and
+	// semiring (O(n^4) partial-weight arrays) and hlv-banded, whose
+	// deficit buffer is Θ(n^3) cells (default 64; negative = unbounded).
+	// Without it one request for hlv-dense at n=256 would try to
+	// allocate ~70 GB, and one for hlv-banded at n=1024 ~16 GB.
 	MaxNHeavy int
 	// MaxWorkers caps the per-request workers option (default 256;
 	// negative = unbounded). Workers beyond the pool width spawn
@@ -119,14 +126,11 @@ type Server struct {
 	cfg Config
 	met *metrics
 
-	lru   *cache.Sharded[*sublineardp.Solution] // nil when caching disabled
-	group cache.Group[*sublineardp.Solution]
-
-	// Chain requests (wire.IsChainKind) cache and single-flight in their
-	// own store, mirroring the class split in sublineardp.Cache: the two
-	// recurrence classes can never collide on an entry.
-	clru   *cache.Sharded[*sublineardp.ChainSolution] // nil when caching disabled
-	cgroup cache.Group[*sublineardp.ChainSolution]
+	// One descriptor per recurrence class, each owning its own cache
+	// store (nil when caching is disabled): the two classes can never
+	// collide on an entry.
+	interval *class[sublineardp.Instance, sublineardp.Solution]
+	chain    *class[sublineardp.Chain, sublineardp.ChainSolution]
 
 	slots   chan struct{} // admission tokens; buffered to QueueDepth
 	batchCh chan *task
@@ -136,20 +140,20 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
+// task is one cache-missing solve on its way through the batcher.
 type task struct {
-	in     *sublineardp.Instance // interval instance; nil for chain tasks
-	chain  *sublineardp.Chain    // chain instance; nil for interval tasks
+	class  recurrenceClass // solves the group the task lands in
+	item   any             // the class's item: *Instance or *Chain
 	engine string
 	opts   []sublineardp.Option
-	sig    string // options signature: tasks with equal sig share a SolveBatch
+	sig    string // class-tagged options signature: tasks with equal sig share a batch call
 	ctx    context.Context
 	res    chan taskResult
 }
 
 type taskResult struct {
-	sol  *sublineardp.Solution
-	csol *sublineardp.ChainSolution
-	err  error
+	sol any // the class's solution: *Solution or *ChainSolution
+	err error
 }
 
 // New validates the configuration and starts the batcher.
@@ -164,14 +168,37 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.QueueDepth),
 		batchCh: make(chan *task),
 		done:    make(chan struct{}),
-	}
-	if cfg.CacheCapacity > 0 {
-		s.lru = cache.New[*sublineardp.Solution](cfg.CacheCapacity, 16)
-		s.clru = cache.New[*sublineardp.ChainSolution](cfg.CacheCapacity, 16)
+		interval: &class[sublineardp.Instance, sublineardp.Solution]{
+			domain:        "instance",
+			engineNoun:    "engine",
+			defaultEngine: cfg.Engine,
+			lookup:        known(sublineardp.LookupEngine),
+			engines:       sublineardp.Engines,
+			heavyEngines:  heavyMemoryEngines,
+			keySplits:     true,
+			build:         (*wire.Request).Instance,
+			canon:         (*sublineardp.Instance).Canonical,
+			solveBatch:    sublineardp.SolveBatch,
+			respond:       wire.NewResponse,
+		},
+		chain: &class[sublineardp.Chain, sublineardp.ChainSolution]{
+			domain:        "chain",
+			sigPrefix:     "chain|",
+			engineNoun:    "chain engine",
+			defaultEngine: sublineardp.ChainEngineAuto,
+			lookup:        known(sublineardp.LookupChainEngine),
+			engines:       sublineardp.ChainEngines,
+			build:         (*wire.Request).ChainInstance,
+			canon:         (*sublineardp.Chain).Canonical,
+			solveBatch:    sublineardp.SolveChainBatch,
+			respond:       wire.NewChainResponse,
+		},
 	}
 	entries := func() int { return 0 }
-	if s.lru != nil {
-		entries = func() int { return s.lru.Len() + s.clru.Len() }
+	if cfg.CacheCapacity > 0 {
+		s.interval.store = cache.NewStore[sublineardp.Solution](cfg.CacheCapacity)
+		s.chain.store = cache.NewStore[sublineardp.ChainSolution](cfg.CacheCapacity)
+		entries = func() int { return s.interval.store.Len() + s.chain.store.Len() }
 	}
 	s.met = newMetrics(entries)
 	s.wg.Add(1)
@@ -248,39 +275,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	isChain := wire.IsChainKind(req.Kind)
-	engine := req.Engine()
-	if isChain {
-		// Chain kinds route through the chain engine registry; the
-		// configured interval default does not apply to them.
-		if engine == "" {
-			engine = sublineardp.ChainEngineAuto
-		}
-		if _, ok := sublineardp.LookupChainEngine(engine); !ok {
-			s.met.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown chain engine %q (registered: %v)", engine, sublineardp.ChainEngines()))
-			return
-		}
-	} else {
-		if engine == "" {
-			engine = s.cfg.Engine
-		}
-		if _, ok := sublineardp.LookupEngine(engine); !ok {
-			s.met.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown engine %q (registered: %v)", engine, sublineardp.Engines()))
-			return
-		}
+	// The request's recurrence class is selected once: everything below
+	// is the one protocol, consulting the class's descriptor.
+	var c recurrenceClass = s.interval
+	if wire.IsChainKind(req.Kind) {
+		c = s.chain
 	}
-	// Engine-aware resource policy: the O(n^4)-memory engines get a
-	// stricter size bound, and the workers option is capped — both are
-	// single-request denial-of-service vectors otherwise. Chain engines
-	// are O(n) memory, so MaxNHeavy never applies to them.
-	if !isChain && heavyMemoryEngines[engine] && s.cfg.MaxNHeavy > 0 && req.N() > s.cfg.MaxNHeavy {
+	engine, err := c.engine(req.Engine())
+	if err != nil {
+		s.met.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Engine-aware resource policy: the superquadratic-memory engines
+	// get a stricter size bound, and the workers option is capped — both
+	// are single-request denial-of-service vectors otherwise.
+	if c.heavy(engine) && s.cfg.MaxNHeavy > 0 && req.N() > s.cfg.MaxNHeavy {
 		s.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("engine %q is O(n^4) memory: instance size n=%d exceeds the server limit n=%d for it",
+			fmt.Errorf("engine %q has a superquadratic working set: instance size n=%d exceeds the server limit n=%d for it",
 				engine, req.N(), s.cfg.MaxNHeavy))
 		return
 	}
@@ -301,13 +314,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// cutoff and tile size only where the request did not.
 		opts = append(opts, sublineardp.WithCalibration(s.cfg.Calibration))
 	}
-	var in *sublineardp.Instance
-	var chain *sublineardp.Chain
-	if isChain {
-		chain, err = req.ChainInstance()
-	} else {
-		in, err = req.Instance()
-	}
+	run, err := c.prepare(s, &req, engine, opts)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, err)
@@ -336,21 +343,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var resp *wire.Response
-	var route via
-	if isChain {
-		var csol *sublineardp.ChainSolution
-		csol, route, err = s.solveChain(ctx, chain, engine, &req, opts)
-		if err == nil {
-			resp = wire.NewChainResponse(&req, csol)
-		}
-	} else {
-		var sol *sublineardp.Solution
-		sol, route, err = s.solve(ctx, in, engine, &req, opts)
-		if err == nil {
-			resp = wire.NewResponse(&req, sol)
-		}
-	}
+	resp, route, err := run(ctx)
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -367,8 +360,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp.Cached = route == viaCacheHit
-	resp.Coalesced = route == viaCoalesced
+	resp.Cached = route == cache.Hit
+	resp.Coalesced = route == cache.Coalesced
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	// Marshal before counting: a request must resolve as exactly one of
 	// ok / clientGone / shed / rejected / timeout / solveError for the
@@ -388,55 +381,157 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.met.ok.Add(1)
 	s.met.observeLatency(time.Since(start).Seconds())
 	switch route {
-	case viaCacheHit:
+	case cache.Hit:
 		s.met.cacheHits.Add(1)
-	case viaCoalesced:
+	case cache.Coalesced:
 		s.met.coalesced.Add(1)
 	default:
 		s.met.solved.Add(1)
 	}
 }
 
-type via int
-
-const (
-	viaSolved via = iota
-	viaCacheHit
-	viaCoalesced
-)
-
-// heavyMemoryEngines names the built-ins whose working set grows as
-// O(n^4) — the ones Config.MaxNHeavy bounds. The auto engine never
-// routes to any of them. The blocked engine is deliberately exempt:
-// its O(n^2) table is the same memory class MaxN already bounds, so
-// explicit "blocked" requests serve the full n <= MaxN range — that is
-// the engine large instances are meant to name
-// (TestResourcePolicyRejections pins the exemption).
+// heavyMemoryEngines names the built-ins whose working set grows faster
+// than O(n^2) — the ones Config.MaxNHeavy bounds: hlv-dense, rytter and
+// the semiring alias hold O(n^4) partial-weight arrays, and hlv-banded
+// holds sum over lengths L of tri(min(D, L-1)+1) deficit cells with
+// D = 2*ceil(sqrt n), which is Θ(n^3) (16.5 GB at n=1024). The auto
+// engine never routes to any of them. The blocked engines are
+// deliberately exempt: their O(n^2) table is the same memory class MaxN
+// already bounds, so explicit "blocked" requests serve the full
+// n <= MaxN range — that is the engine large instances are meant to
+// name (TestResourcePolicyRejections pins the exemption).
 var heavyMemoryEngines = map[string]bool{
-	sublineardp.EngineHLVDense: true,
-	sublineardp.EngineRytter:   true,
-	sublineardp.EngineSemiring: true,
+	sublineardp.EngineHLVDense:  true,
+	sublineardp.EngineHLVBanded: true,
+	sublineardp.EngineRytter:    true,
+	sublineardp.EngineSemiring:  true,
 }
 
-// solveKey content-addresses one request: the instance's canonical bytes
-// plus the option signature. Every wire-buildable instance is
-// canonicalisable, so the bool is only false for exotic custom kinds.
-func solveKey(in *sublineardp.Instance, sig string) (cache.Key, bool) {
-	canon, ok := in.Canonical()
+// recurrenceClass is what the one serving protocol asks of a request's
+// recurrence class; class implements it for the interval and the chain
+// class alike.
+type recurrenceClass interface {
+	// engine resolves a request's engine name ("" = the class default)
+	// against the class's registry.
+	engine(name string) (string, error)
+	// heavy reports that Config.MaxNHeavy bounds the named engine.
+	heavy(engine string) bool
+	// prepare builds the request's item and returns the run that answers
+	// it through the cache → single-flight → batcher protocol.
+	prepare(s *Server, req *wire.Request, engine string, opts []sublineardp.Option) (func(context.Context) (*wire.Response, cache.Via, error), error)
+	// batch solves one options-signature group of the class's items in
+	// one batch call. The result has one slot per item, nil where the
+	// item failed.
+	batch(ctx context.Context, items []any, opts []sublineardp.Option) ([]any, error)
+}
+
+// class is the descriptor of one recurrence class, over its item type I
+// (Instance, Chain) and solution type S (Solution, ChainSolution):
+// everything in which serving an interval request and a chain request
+// differ.
+type class[I, S any] struct {
+	domain        string // cache-key domain tag over the canonical bytes
+	sigPrefix     string // keeps the class's batch groups (and keys) apart
+	engineNoun    string // "engine" / "chain engine", for errors
+	defaultEngine string
+	lookup        func(string) bool
+	engines       func() []string
+	heavyEngines  map[string]bool // nil: no engine of the class is heavy
+	// keySplits: return_splits changes the solve (it records
+	// reconstruction state), so it joins the signature. Chain
+	// reconstruction reads the value vector and does not.
+	keySplits  bool
+	build      func(*wire.Request) (*I, error)
+	canon      func(*I) ([]byte, bool)
+	solveBatch func(context.Context, []*I, ...sublineardp.Option) ([]*S, error)
+	respond    func(*wire.Request, *S) *wire.Response
+	store      *cache.Store[S] // nil when caching is disabled
+}
+
+// known adapts a registry lookup to the membership test class needs.
+func known[E any](lookup func(string) (E, bool)) func(string) bool {
+	return func(name string) bool { _, ok := lookup(name); return ok }
+}
+
+func (c *class[I, S]) engine(name string) (string, error) {
+	if name == "" {
+		name = c.defaultEngine
+	}
+	if !c.lookup(name) {
+		return "", fmt.Errorf("unknown %s %q (registered: %v)", c.engineNoun, name, c.engines())
+	}
+	return name, nil
+}
+
+func (c *class[I, S]) heavy(engine string) bool { return c.heavyEngines[engine] }
+
+func (c *class[I, S]) prepare(s *Server, req *wire.Request, engine string, opts []sublineardp.Option) (func(context.Context) (*wire.Response, cache.Via, error), error) {
+	item, err := c.build(req)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context) (*wire.Response, cache.Via, error) {
+		sol, route, err := c.solve(ctx, s, item, engine, req, opts)
+		if err != nil {
+			return nil, route, err
+		}
+		return c.respond(req, sol), route, nil
+	}, nil
+}
+
+// solve runs the cache → single-flight → batcher protocol for one
+// admitted request. The store hands every caller a private shallow copy,
+// so nothing downstream can mutate a cached entry.
+func (c *class[I, S]) solve(ctx context.Context, s *Server, item *I, engine string, req *wire.Request, opts []sublineardp.Option) (*S, cache.Via, error) {
+	sig := c.sigPrefix + optionsSig(engine, req.Options, c.keySplits && req.ReturnSplits)
+	compute := func(ctx context.Context) (*S, error) {
+		sol, err := s.submit(ctx, &task{class: c, item: item, engine: engine, opts: opts, sig: sig})
+		if err != nil {
+			return nil, err
+		}
+		return sol.(*S), nil
+	}
+	key, keyed := c.solveKey(item, sig)
+	if c.store == nil || !keyed {
+		sol, err := compute(ctx)
+		return sol, cache.Computed, err
+	}
+	return c.store.Do(ctx, key, compute)
+}
+
+// solveKey content-addresses one request: the class's domain tag over
+// the item's canonical bytes, plus the option signature. Every
+// wire-buildable item is canonicalisable, so the bool is only false for
+// exotic custom kinds.
+func (c *class[I, S]) solveKey(item *I, sig string) (cache.Key, bool) {
+	canon, ok := c.canon(item)
 	if !ok {
 		return cache.Key{}, false
 	}
-	return cache.NewHasher().Bytes("instance", canon).String("opts", sig).Sum(), true
+	return cache.NewHasher().Bytes(c.domain, canon).String("opts", sig).Sum(), true
+}
+
+func (c *class[I, S]) batch(ctx context.Context, items []any, opts []sublineardp.Option) ([]any, error) {
+	typed := make([]*I, len(items))
+	for i, item := range items {
+		typed[i] = item.(*I)
+	}
+	sols, err := c.solveBatch(ctx, typed, opts...)
+	out := make([]any, len(items))
+	for i, sol := range sols {
+		if sol != nil {
+			out[i] = sol
+		}
+	}
+	return out, err
 }
 
 // optionsSig renders the solving configuration of a request into the
 // string that both content-addresses it (with the instance) and groups
 // batcher tasks: tasks with equal signatures are safe to fold into one
-// SolveBatch call. splits mirrors the root solveKey's RecordSplits
-// keying: a split-recording solve carries reconstruction state a
-// non-recording one does not, so the two never share a cache entry
-// (chain requests always pass false — reconstruction there reads the
-// value vector and does not change the solve).
+// batch call. splits mirrors the root solveKey's RecordSplits keying: a
+// split-recording solve carries reconstruction state a non-recording
+// one does not, so the two never share a cache entry.
 func optionsSig(engine string, o wire.Options, splits bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%v",
@@ -446,106 +541,10 @@ func optionsSig(engine string, o wire.Options, splits bool) string {
 	return b.String()
 }
 
-// solve runs the cache → single-flight → batcher protocol for one
-// admitted request.
-func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*sublineardp.Solution, via, error) {
-	sig := optionsSig(engine, req.Options, req.ReturnSplits)
-	key, keyed := solveKey(in, sig)
-	if s.lru == nil || !keyed {
-		sol, err := s.submit(ctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: ctx})
-		return sol, viaSolved, err
-	}
-	if sol, ok := s.lru.Get(key); ok {
-		cp := *sol
-		return &cp, viaCacheHit, nil
-	}
-	sol, joined, err := s.group.Do(ctx, key, func(fctx context.Context) (*sublineardp.Solution, error) {
-		sol, err := s.submit(fctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: fctx})
-		if err != nil {
-			return nil, err
-		}
-		s.lru.Add(key, sol)
-		return sol, nil
-	})
-	if err != nil {
-		return nil, viaSolved, err
-	}
-	// Same aliasing discipline as the root sublineardp.Cache: the
-	// pointer resident in the LRU is never handed out — every caller
-	// (leader included) gets a private shallow copy, so nothing
-	// downstream can mutate a cached entry.
-	cp := *sol
-	if joined {
-		return &cp, viaCoalesced, nil
-	}
-	return &cp, viaSolved, nil
-}
-
-// chainSolveKey is solveKey for chain requests. The "chain|" signature
-// prefix (set by the caller) plus the chain's own canonical domain tags
-// keep chain entries disjoint from interval ones.
-func chainSolveKey(c *sublineardp.Chain, sig string) (cache.Key, bool) {
-	canon, ok := c.Canonical()
-	if !ok {
-		return cache.Key{}, false
-	}
-	return cache.NewHasher().Bytes("chain", canon).String("opts", sig).Sum(), true
-}
-
-// solveChain runs the cache → single-flight → batcher protocol for one
-// admitted chain request, against the chain store.
-func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*sublineardp.ChainSolution, via, error) {
-	// The signature prefix keeps chain tasks out of interval SolveBatch
-	// groups: runGroup dispatches a group by its head task's class.
-	sig := "chain|" + optionsSig(engine, req.Options, false)
-	key, keyed := chainSolveKey(c, sig)
-	if s.clru == nil || !keyed {
-		csol, err := s.submitChain(ctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: ctx})
-		return csol, viaSolved, err
-	}
-	if csol, ok := s.clru.Get(key); ok {
-		cp := *csol
-		return &cp, viaCacheHit, nil
-	}
-	csol, joined, err := s.cgroup.Do(ctx, key, func(fctx context.Context) (*sublineardp.ChainSolution, error) {
-		csol, err := s.submitChain(fctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: fctx})
-		if err != nil {
-			return nil, err
-		}
-		s.clru.Add(key, csol)
-		return csol, nil
-	})
-	if err != nil {
-		return nil, viaSolved, err
-	}
-	cp := *csol
-	if joined {
-		return &cp, viaCoalesced, nil
-	}
-	return &cp, viaSolved, nil
-}
-
-// submitChain is submit for chain tasks.
-func (s *Server) submitChain(ctx context.Context, t *task) (*sublineardp.ChainSolution, error) {
-	t.res = make(chan taskResult, 1)
-	select {
-	case s.batchCh <- t:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, errors.New("server shutting down")
-	}
-	select {
-	case r := <-t.res:
-		return r.csol, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// submit hands a task to the batcher and waits for its result.
-func (s *Server) submit(ctx context.Context, t *task) (*sublineardp.Solution, error) {
-	t.res = make(chan taskResult, 1)
+// submit hands a task to the batcher and waits for its result; the task
+// runs under ctx.
+func (s *Server) submit(ctx context.Context, t *task) (any, error) {
+	t.ctx, t.res = ctx, make(chan taskResult, 1)
 	select {
 	case s.batchCh <- t:
 	case <-ctx.Done():
@@ -597,7 +596,7 @@ func (s *Server) batcher() {
 }
 
 // runBatch partitions a window by options signature and dispatches one
-// SolveBatch per group on the shared pool. The batch context is
+// batch call per group on the shared pool. The batch context is
 // refcounted over the member tasks' contexts: it cancels only when every
 // member has been abandoned, which is how a client disconnect propagates
 // down to tile-level kernel abort without killing co-batched strangers.
@@ -620,10 +619,9 @@ func (s *Server) runBatch(batch []*task) {
 	gwg.Wait()
 }
 
-// runGroup dispatches one options-signature group as a SolveBatch (or,
-// for chain groups, SolveChainBatch) call. The "chain|" signature prefix
-// guarantees a group is homogeneous — its head task's class is the whole
-// group's class.
+// runGroup dispatches one options-signature group as one batch call of
+// its class. The class-tagged signature guarantees a group is
+// homogeneous: its head task's class is the whole group's class.
 func (s *Server) runGroup(group []*task) {
 	bctx, cancel := context.WithCancel(context.Background())
 	remaining := int64(len(group))
@@ -647,55 +645,27 @@ func (s *Server) runGroup(group []*task) {
 	s.met.batches.Add(1)
 	s.met.batchSolves.Add(int64(len(group)))
 
-	fail := func(t *task, err error) error {
-		terr := t.ctx.Err()
-		if terr == nil {
-			terr = bctx.Err()
-		}
-		if terr == nil {
-			if err != nil {
-				terr = err
-			} else {
-				terr = errors.New("solve produced no solution")
-			}
-		}
-		return terr
-	}
-
-	if lead.chain != nil {
-		chains := make([]*sublineardp.Chain, len(group))
-		for i, t := range group {
-			chains[i] = t.chain
-		}
-		csols, err := sublineardp.SolveChainBatch(bctx, chains, opts...)
-		if csols == nil {
-			csols = make([]*sublineardp.ChainSolution, len(group))
-		}
-		for i, t := range group {
-			if csols[i] != nil {
-				t.res <- taskResult{csol: csols[i]}
-				continue
-			}
-			t.res <- taskResult{err: fail(t, err)}
-		}
-		cancel()
-		return
-	}
-
-	instances := make([]*sublineardp.Instance, len(group))
+	items := make([]any, len(group))
 	for i, t := range group {
-		instances[i] = t.in
+		items[i] = t.item
 	}
-	sols, err := sublineardp.SolveBatch(bctx, instances, opts...)
-	if sols == nil {
-		sols = make([]*sublineardp.Solution, len(group))
-	}
+	sols, err := lead.class.batch(bctx, items, opts)
 	for i, t := range group {
 		if sols[i] != nil {
 			t.res <- taskResult{sol: sols[i]}
 			continue
 		}
-		t.res <- taskResult{err: fail(t, err)}
+		terr := t.ctx.Err()
+		if terr == nil {
+			terr = bctx.Err()
+		}
+		if terr == nil {
+			terr = err
+		}
+		if terr == nil {
+			terr = errors.New("solve produced no solution")
+		}
+		t.res <- taskResult{err: terr}
 	}
 	cancel() // the watcher normally fires it; this makes vet-visible cleanup unconditional
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sublineardp/internal/algebra"
+	"sublineardp/internal/cache"
 )
 
 // Solver is the unified entry point to every algorithm in the
@@ -25,19 +26,10 @@ type Solver struct {
 // "auto", the size-based selector). It fails on unknown engine names;
 // see Engines for the registered set.
 func NewSolver(engine string, opts ...Option) (*Solver, error) {
-	cfg := buildConfig(opts)
-	name := engine
-	if name == "" {
-		name = cfg.Engine
+	e, cfg, err := engineRegistry.solver(engine, opts)
+	if err != nil {
+		return nil, err
 	}
-	if name == "" {
-		name = EngineAuto
-	}
-	e, ok := LookupEngine(name)
-	if !ok {
-		return nil, fmt.Errorf("sublineardp: unknown engine %q (registered: %v)", name, Engines())
-	}
-	cfg.Engine = name
 	return &Solver{engine: e, cfg: cfg}, nil
 }
 
@@ -88,13 +80,14 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Solution, error) {
 	if s.cfg.Cache != nil && s.cfg.Target == nil {
 		if key, ok := solveKey(in, s.engine.Name(), &s.cfg); ok {
 			start := time.Now()
-			sol, err := s.cfg.Cache.solve(ctx, key, func(fctx context.Context) (*Solution, error) {
+			sol, via, err := s.cfg.Cache.interval.Do(ctx, key, func(fctx context.Context) (*Solution, error) {
 				return s.solveDirect(fctx, in)
 			})
 			if err != nil {
 				return nil, err
 			}
-			if sol.Cached {
+			if via != cache.Computed {
+				sol.Cached = true
 				sol.Elapsed = time.Since(start)
 			}
 			return sol, nil

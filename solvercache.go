@@ -1,8 +1,6 @@
 package sublineardp
 
 import (
-	"context"
-
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cache"
 )
@@ -21,15 +19,13 @@ import (
 // A Cache is safe for concurrent use and may back any number of Solvers.
 //
 // Chain solves (ChainSolver, SolveChainBatch) share the same Cache
-// value but live in their own LRU and single-flight group: the two
-// recurrence classes can never collide on an entry, and each class gets
-// the full configured capacity.
+// value but live in their own store: the two recurrence classes can
+// never collide on an entry, and each class gets the full configured
+// capacity. Both stores run the one cache.Store protocol, so every
+// caller gets a private shallow copy of the resident solution.
 type Cache struct {
-	lru *cache.Sharded[*Solution]
-	sf  cache.Group[*Solution]
-
-	clru *cache.Sharded[*ChainSolution]
-	csf  cache.Group[*ChainSolution]
+	interval *cache.Store[Solution]
+	chain    *cache.Store[ChainSolution]
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.
@@ -47,16 +43,16 @@ type CacheStats struct {
 // (capacity <= 0 picks 1024).
 func NewCache(capacity int) *Cache {
 	return &Cache{
-		lru:  cache.New[*Solution](capacity, 16),
-		clru: cache.New[*ChainSolution](capacity, 16),
+		interval: cache.NewStore[Solution](capacity),
+		chain:    cache.NewStore[ChainSolution](capacity),
 	}
 }
 
 // Stats returns the cumulative counters, summed over the interval and
 // chain stores.
 func (c *Cache) Stats() CacheStats {
-	ls, cs := c.lru.Stats(), c.clru.Stats()
-	fs, cf := c.sf.Stats(), c.csf.Stats()
+	ls, cs := c.interval.Stats(), c.chain.Stats()
+	fs, cf := c.interval.FlightStats(), c.chain.FlightStats()
 	return CacheStats{
 		Hits: ls.Hits + cs.Hits, Misses: ls.Misses + cs.Misses,
 		Insertions: ls.Insertions + cs.Insertions,
@@ -68,7 +64,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Len returns the number of resident solutions (interval plus chain).
-func (c *Cache) Len() int { return c.lru.Len() + c.clru.Len() }
+func (c *Cache) Len() int { return c.interval.Len() + c.chain.Len() }
 
 // solveKey derives the content key for one solve: the instance's
 // canonical bytes (which already fold in the instance's declared
@@ -109,58 +105,4 @@ func solveKey(in *Instance, engineName string, cfg *Config) (cache.Key, bool) {
 		Bool("splits", cfg.RecordSplits).
 		Bool("convexity", cfg.Convexity)
 	return h.Sum(), true
-}
-
-// solve runs the cache protocol around compute: LRU lookup, then
-// single-flight execution on miss. Every path returns a caller-private
-// shallow copy (Cached tells hits and joins apart from led solves), so
-// no caller ever holds the pointer resident in the LRU.
-func (c *Cache) solve(ctx context.Context, key cache.Key, compute func(context.Context) (*Solution, error)) (*Solution, error) {
-	if sol, ok := c.lru.Get(key); ok {
-		cp := *sol
-		cp.Cached = true
-		return &cp, nil
-	}
-	sol, joined, err := c.sf.Do(ctx, key, func(fctx context.Context) (*Solution, error) {
-		s, err := compute(fctx)
-		if err != nil {
-			return nil, err
-		}
-		c.lru.Add(key, s)
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Every caller — leader included — gets its own shallow copy: the
-	// pointer resident in the LRU must never be handed out, or a caller
-	// mutating "its" result would corrupt the cache.
-	cp := *sol
-	cp.Cached = joined
-	return &cp, nil
-}
-
-// solveChain is solve for the chain store: the identical protocol over
-// the chain LRU and single-flight group, with the same private
-// shallow-copy discipline.
-func (c *Cache) solveChain(ctx context.Context, key cache.Key, compute func(context.Context) (*ChainSolution, error)) (*ChainSolution, error) {
-	if sol, ok := c.clru.Get(key); ok {
-		cp := *sol
-		cp.Cached = true
-		return &cp, nil
-	}
-	sol, joined, err := c.csf.Do(ctx, key, func(fctx context.Context) (*ChainSolution, error) {
-		s, err := compute(fctx)
-		if err != nil {
-			return nil, err
-		}
-		c.clru.Add(key, s)
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cp := *sol
-	cp.Cached = joined
-	return &cp, nil
 }
