@@ -1,4 +1,4 @@
-// Command dpserved serves the Solver API over HTTP/JSON: a coalescing,
+// Command dpserved serves the Solver API over HTTP/JSON: a batching,
 // caching front end over the pooled tile-parallel runtime.
 //
 //	dpserved -addr :8080
@@ -17,6 +17,9 @@
 // describes: -queue bounds admitted work (shed beyond it), -batch-window
 // and -max-batch shape how arrival concurrency folds into SolveBatch
 // calls, -pool sizes the one worker pool every batch dispatches onto.
+// The default -batch-window 0 dispatches a cache miss as soon as a pool
+// slot is free and holds misses only while all -concurrency slots are
+// busy, for at most 2ms; a positive window holds every batch that long.
 package main
 
 import (
@@ -58,8 +61,12 @@ func main() {
 		defer cancel()
 		hs.Shutdown(ctx)
 	}()
+	window := "adaptive"
+	if cfg.BatchWindow > 0 {
+		window = cfg.BatchWindow.String()
+	}
 	log.Printf("dpserved: listening on %s (engine=%s queue=%d window=%s batch<=%d cache=%d maxn=%d semirings=%v)",
-		addr, cfg.Engine, cfg.QueueDepth, cfg.BatchWindow, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
+		addr, cfg.Engine, cfg.QueueDepth, window, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
 		sublineardp.Semirings())
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("dpserved: %v", err)
@@ -77,7 +84,7 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the superquadratic-memory engines: hlv-dense/rytter/semiring (O(n^4)) and hlv-banded (Θ(n^3) buffer)")
 		maxW     = fs.Int("max-workers", 256, "largest accepted per-request workers option")
 		queue    = fs.Int("queue", 256, "admission queue depth (further requests are shed with 503)")
-		window   = fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for stragglers")
+		window   = fs.Duration("batch-window", 0, "0 = dispatch when a pool slot is free and hold (at most 2ms) only while the pool is saturated; >0 = hold every batch this long")
 		maxBatch = fs.Int("max-batch", 32, "max instances per SolveBatch dispatch")
 		conc     = fs.Int("concurrency", 0, "instances solved at once per batch (0 = GOMAXPROCS)")
 		cacheCap = fs.Int("cache", 4096, "solution cache entries (negative disables caching)")

@@ -40,6 +40,14 @@ func TestConfigFromArgs(t *testing.T) {
 	if cfg != want {
 		t.Errorf("cfg = %+v, want %+v", cfg, want)
 	}
+	// With no flags the batcher is work-conserving: no fixed window.
+	cfg, _, err = configFromArgs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.BatchWindow != 0 {
+		t.Errorf("default BatchWindow = %v, want 0", cfg.BatchWindow)
+	}
 	if _, _, err := configFromArgs([]string{"-queue", "elephants"}); err == nil {
 		t.Error("bad flag value accepted")
 	}

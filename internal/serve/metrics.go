@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // metrics is the server's observability surface, exposed in Prometheus
@@ -35,6 +36,8 @@ type metrics struct {
 	batches       atomic.Int64 // batch calls (SolveBatch or SolveChainBatch) issued by the batcher
 	batchSolves   atomic.Int64 // instances across all batches (== solved when healthy)
 	queueDepth    atomic.Int64 // currently admitted requests (gauge)
+	batchInflight atomic.Int64 // instances in dispatched, unreturned batch calls (gauge; the batcher's slot count)
+	batchWaitNs   atomic.Int64 // summed first-task-to-dispatch wait over batches, nanoseconds
 	cacheEntries  func() int   // resident LRU entries (gauge)
 	latencyMu     sync.Mutex
 	latencyBounds []float64 // histogram upper bounds, seconds
@@ -65,12 +68,11 @@ func (m *metrics) observeLatency(sec float64) {
 
 // write renders the Prometheus text exposition.
 func (m *metrics) write(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	series := func(typ, name, help string, v any) { // v: int64 or float64
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v any) { series("counter", name, help, v) }
+	gauge := func(name, help string, v int64) { series("gauge", name, help, v) }
 	counter("dpserved_requests_total", "solve requests received", m.requests.Load())
 	counter("dpserved_responses_ok_total", "200 responses written", m.ok.Load())
 	counter("dpserved_client_gone_total", "requests abandoned by the client before a response", m.clientGone.Load())
@@ -81,9 +83,12 @@ func (m *metrics) write(w io.Writer) {
 	counter("dpserved_cache_hits_total", "responses served from the resident solution cache", m.cacheHits.Load())
 	counter("dpserved_coalesced_total", "requests folded into an identical in-flight solve", m.coalesced.Load())
 	counter("dpserved_solved_total", "requests that led a flight (an engine ran)", m.solved.Load())
-	counter("dpserved_batches_total", "SolveBatch calls issued by the coalescing batcher", m.batches.Load())
+	counter("dpserved_batches_total", "SolveBatch calls issued by the batcher", m.batches.Load())
 	counter("dpserved_batch_instances_total", "instances solved across all batches", m.batchSolves.Load())
 	gauge("dpserved_queue_depth", "currently admitted in-flight requests", m.queueDepth.Load())
+	gauge("dpserved_batch_inflight", "instances in dispatched batch calls that have not returned", m.batchInflight.Load())
+	counter("dpserved_batch_wait_seconds_total", "time batches waited from their first task to dispatch",
+		time.Duration(m.batchWaitNs.Load()).Seconds())
 	if m.cacheEntries != nil {
 		gauge("dpserved_cache_entries", "resident solution cache entries", int64(m.cacheEntries()))
 	}

@@ -63,6 +63,7 @@ type blockSolveEngine struct {
 	release   chan struct{}
 	cancelled chan struct{} // one value per Solve that observed ctx.Done
 	calls     atomic.Int64
+	deaf      bool // park until released even after ctx is done
 }
 
 func (e *blockSolveEngine) Name() string { return e.name }
@@ -70,6 +71,10 @@ func (e *blockSolveEngine) Name() string { return e.name }
 func (e *blockSolveEngine) Solve(ctx context.Context, in *sublineardp.Instance, cfg *sublineardp.Config) (*sublineardp.Solution, error) {
 	e.calls.Add(1)
 	e.entered <- struct{}{}
+	if e.deaf {
+		<-e.release
+		return nil, ctx.Err()
+	}
 	select {
 	case <-e.release:
 	case <-ctx.Done():
@@ -189,7 +194,7 @@ func directDigest(t *testing.T, req *wire.Request) (string, int64) {
 
 func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
 	// MaxNHeavy admits the mix's explicit n=80 hlv-banded request.
-	srv, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 16, MaxNHeavy: 80})
+	srv, err := New(Config{MaxBatch: 16, MaxNHeavy: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +281,7 @@ func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
 // direct Solver.Solve.
 func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block")
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +400,7 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 // the tile-abort hook.
 func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block-cancel")
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,6 +455,81 @@ func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 	}
 }
 
+// deafEngines numbers the parking engines so repeated runs register
+// fresh names.
+var deafEngines atomic.Int64
+
+// TestE2EHeldTaskTimesOutBehindSaturatedPool covers the default
+// policy's hold on the deadline path. The only slot is taken by a solve
+// that outlives its own request, so a later miss is held behind the
+// saturated pool for up to saturatedHoldCap, past its 1ms deadline. The
+// miss must answer 504, the counters must balance, and once the
+// occupying call returns the in-flight gauge must read 0.
+func TestE2EHeldTaskTimesOutBehindSaturatedPool(t *testing.T) {
+	name := fmt.Sprintf("e2e-block-deaf-%d", deafEngines.Add(1))
+	eng := registerBlockEngine(t, name)
+	eng.deaf = true
+	srv, err := New(Config{Concurrency: 1, RequestTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startLoopback(t, srv)
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(eng.release) }) }) // runs before the server closes
+	post := func(req *wire.Request) int {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(base+"/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// The occupier's engine ignores its context, so its batch call keeps
+	// the slot past the request's own 504 until released. Its deadline
+	// can lapse before the batcher takes it; post it again until one
+	// reaches the engine.
+	occupier := &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{4, 5, 6, 7},
+		Options: wire.Options{Engine: name}}
+	timeouts := 0
+	for occupied := false; !occupied; timeouts++ {
+		if code := post(occupier); code != http.StatusGatewayTimeout {
+			t.Fatalf("occupier: status %d, want 504", code)
+		}
+		select {
+		case <-eng.entered:
+			occupied = true
+		case <-time.After(time.Second):
+		}
+	}
+
+	// The first miss opens a batch that is held for saturatedHoldCap, so
+	// its deadline lapses in the hold. A later miss may join a batch its
+	// predecessor opened and dispatch with deadline to spare: 200 or 504.
+	for i := 0; i < 4; i++ {
+		miss := &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{i + 2, 3, 4, i + 5}}
+		switch code := post(miss); {
+		case code == http.StatusGatewayTimeout:
+			timeouts++
+		case i == 0 || code != http.StatusOK:
+			t.Fatalf("miss %d behind the saturated pool: status %d, want 504 (or 200 after the first)", i, code)
+		}
+	}
+	if m := srv.Metrics(); m.BatchInflight != 1 {
+		t.Fatalf("in-flight gauge %d while the occupier parks, want 1", m.BatchInflight)
+	}
+
+	release.Do(func() { close(eng.release) })
+	waitFor(t, "the occupier's batch call to return", func() bool { return srv.Metrics().BatchInflight == 0 })
+	m := srv.Metrics()
+	if m.Timeouts != int64(timeouts) {
+		t.Errorf("%d timeouts, want %d (%+v)", m.Timeouts, timeouts, m)
+	}
+	checkIdentities(t, m)
+}
+
 // TestE2EOverloadCounterIdentity drives the server into overload and
 // asserts the full counter balance: every request resolves as exactly
 // one of admitted (ok/clientGone/timeout/solveError), shed (503 from a
@@ -459,7 +539,7 @@ func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 // suite above never exercises.
 func TestE2EOverloadCounterIdentity(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block-overload")
-	srv, err := New(Config{QueueDepth: 1, BatchWindow: time.Millisecond})
+	srv, err := New(Config{QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +627,7 @@ func TestE2EOverloadCounterIdentity(t *testing.T) {
 // same parameters under different algebras yield distinct TableDigests,
 // each cached under its own key, bitwise equal to direct Solver.Solve.
 func TestE2EAlgebraCacheSeparation(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +764,7 @@ func directChainDigest(t *testing.T, req *wire.Request) (string, int64) {
 // interval requests occupy separate cache entries, and the counter
 // identity balances.
 func TestE2EChainRoundTrip(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +888,7 @@ func TestE2EChainRoundTrip(t *testing.T) {
 // tree in O(n)), and return_splits participates in the cache key — a
 // plain twin of a splits-recording request is a separate entry.
 func TestE2EReconstructionRoundTrip(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

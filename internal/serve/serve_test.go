@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -408,5 +409,258 @@ func TestCalibrationProfileRoutesAutoSolves(t *testing.T) {
 	}
 	if wr.Engine != sublineardp.EngineSequential {
 		t.Fatalf("explicit auto_cutoff lost to the server profile: engine %q", wr.Engine)
+	}
+}
+
+// checkIdentities asserts the /metrics identities on a quiescent server:
+// every request resolved exactly once, every 200 is exactly one of
+// hit / coalesced / solved, every solve went through one batch slot, and
+// no batch instance is still counted in flight.
+func checkIdentities(t *testing.T, m MetricsSnapshot) {
+	t.Helper()
+	if got := m.OK + m.ClientGone + m.RejectedFull + m.BadRequests + m.Timeouts + m.SolveErrors; got != m.Requests {
+		t.Errorf("request identity broken: resolutions %d != requests %d (%+v)", got, m.Requests, m)
+	}
+	if m.CacheHits+m.Coalesced+m.Solved != m.OK {
+		t.Errorf("200 identity broken: %+v", m)
+	}
+	if m.BatchInstances < m.Solved {
+		t.Errorf("%d batched instances for %d solves", m.BatchInstances, m.Solved)
+	}
+	if m.BatchInflight != 0 || m.QueueDepth != 0 {
+		t.Errorf("in-flight gauge %d, queue depth %d on a quiescent server", m.BatchInflight, m.QueueDepth)
+	}
+}
+
+// tinyMiss is the i'th of a family of distinct small matrix chains.
+func tinyMiss(i int) *wire.Request {
+	return &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{i + 2, i%7 + 3, i%5 + 4, i + 5}}
+}
+
+// slowSequential is one explicit sequential matrix-chain solve that
+// holds a batch slot for a few hundred milliseconds.
+func slowSequential() *wire.Request {
+	dims := make([]int, 601)
+	for i := range dims {
+		dims[i] = (i*37)%97 + 3
+	}
+	return &wire.Request{Kind: wire.KindMatrixChain, Dims: dims,
+		Options: wire.Options{Engine: sublineardp.EngineSequential}}
+}
+
+// reply is one /solve answer as a client saw it.
+type reply struct {
+	code int
+	body []byte
+	err  error
+}
+
+// goPost posts req from its own goroutine; the reply arrives on the
+// returned channel.
+func goPost(client *http.Client, url string, req *wire.Request) <-chan reply {
+	out := make(chan reply, 1)
+	go func() {
+		body, _ := json.Marshal(req)
+		resp, err := client.Post(url+"/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		out <- reply{code: resp.StatusCode, body: buf.Bytes(), err: err}
+	}()
+	return out
+}
+
+// checkReply checks a 200 answer to req against a direct solve, bit
+// for bit.
+func checkReply(t *testing.T, req *wire.Request, r reply) {
+	t.Helper()
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("status %d, err %v: %s", r.code, r.err, r.body)
+	}
+	var wr wire.Response
+	if err := json.Unmarshal(r.body, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := directDigest(t, req); wr.TableDigest != want {
+		t.Fatalf("served digest %s, direct solve %s", wr.TableDigest, want)
+	}
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatcherHoldsOnlyWhileSaturated pins the work-conserving policy of
+// the zero BatchWindow in both regimes: on an idle pool every miss
+// dispatches at once, and behind a saturated pool misses are held —
+// but never past saturatedHoldCap, so a slow solve occupying the pool
+// does not make unrelated small misses wait for it.
+func TestBatcherHoldsOnlyWhileSaturated(t *testing.T) {
+	t.Run("idle", func(t *testing.T) {
+		srv, hs := newTestServer(t, Config{})
+		const n = 20
+		for i := 0; i < n; i++ {
+			checkReply(t, tinyMiss(i), <-goPost(http.DefaultClient, hs.URL, tinyMiss(i)))
+		}
+		m := srv.Metrics()
+		if m.Batches != n || m.Solved != n {
+			t.Fatalf("metrics %+v, want %d batches for %d sequential misses", m, n, n)
+		}
+		if mean := m.BatchWaitSeconds / float64(m.Batches); mean >= 0.5e-3 {
+			t.Fatalf("mean batch wait %.3f ms on an idle pool, want < 0.5 ms", mean*1e3)
+		}
+		checkIdentities(t, m)
+	})
+
+	t.Run("saturated", func(t *testing.T) {
+		srv, hs := newTestServer(t, Config{Concurrency: 1})
+		slowStart := time.Now()
+		slowReply := goPost(http.DefaultClient, hs.URL, slowSequential())
+		waitFor(t, "the slow solve to occupy the slot", func() bool {
+			m := srv.Metrics()
+			return m.BatchInflight == 1 && m.Batches == 1
+		})
+		before := srv.Metrics()
+
+		const n = 8
+		fired := time.Now()
+		replies := make([]<-chan reply, n)
+		for i := range replies {
+			replies[i] = goPost(http.DefaultClient, hs.URL, tinyMiss(i))
+		}
+		got := make([]reply, n)
+		for i, r := range replies {
+			got[i] = <-r
+		}
+		missTime := time.Since(fired)
+		for i := range got {
+			checkReply(t, tinyMiss(i), got[i])
+		}
+		// Every batch opened while the slot was taken, so each was held
+		// until the cap: a slot freed by a returning miss batch does not
+		// end the hold while the slow solve still occupies the pool.
+		mid := srv.Metrics()
+		batches := mid.Batches - before.Batches
+		if mean := (mid.BatchWaitSeconds - before.BatchWaitSeconds) / float64(batches); mean < saturatedHoldCap.Seconds() {
+			t.Fatalf("mean wait %.3f ms over %d batches behind a saturated pool, want >= %v", mean*1e3, batches, saturatedHoldCap)
+		}
+		t.Logf("%d misses behind a saturated slot took %d batches", n, batches)
+
+		if r := <-slowReply; r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("slow solve: status %d, err %v: %s", r.code, r.err, r.body)
+		}
+		if slowTime := time.Since(slowStart); missTime > slowTime/2 {
+			t.Fatalf("the misses took %v behind a %v slow solve: they waited for it, not at most %v", missTime, slowTime, saturatedHoldCap)
+		}
+		m := srv.Metrics()
+		if m.Solved != n+1 {
+			t.Fatalf("metrics %+v, want %d solved", m, n+1)
+		}
+		checkIdentities(t, m)
+
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		for _, want := range []string{
+			"# TYPE dpserved_batch_inflight gauge\ndpserved_batch_inflight 0\n",
+			"# TYPE dpserved_batch_wait_seconds_total counter\ndpserved_batch_wait_seconds_total ",
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("metrics exposition missing %q", want)
+			}
+		}
+	})
+}
+
+// TestCloseDrainsHeldAndInFlightBatches closes a server while batches
+// are in flight and held: under the default policy with a slow solve
+// occupying the only slot while misses arrive behind it, and with a
+// batch held in an open window. Every request must still resolve, Close
+// must return, the counters must balance and no goroutine may outlive
+// the server.
+func TestCloseDrainsHeldAndInFlightBatches(t *testing.T) {
+	// The shared pool's workers start on first use and persist; start
+	// them before counting goroutines.
+	directDigest(t, tinyMiss(0))
+	cases := []struct {
+		name string
+		cfg  Config
+		slow bool // occupy the only slot first, so the misses queue behind it
+	}{
+		{"saturated", Config{Concurrency: 1}, true},
+		{"window", Config{BatchWindow: 300 * time.Millisecond}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			srv, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			client := &http.Client{Transport: &http.Transport{}}
+
+			reqs := []*wire.Request{tinyMiss(0), tinyMiss(1), tinyMiss(2), tinyMiss(3)}
+			if tc.slow {
+				reqs = append([]*wire.Request{slowSequential()}, reqs...)
+			}
+			replies := make([]<-chan reply, len(reqs))
+			for i, req := range reqs {
+				replies[i] = goPost(client, hs.URL, req)
+				if i == 0 && tc.slow {
+					waitFor(t, "the slow solve to occupy the slot", func() bool { return srv.Metrics().BatchInflight == 1 })
+				}
+			}
+			if tc.slow {
+				// The misses are held for at most saturatedHoldCap, so
+				// they may be held, in flight or answered at Close; the
+				// slow solve is still in flight.
+				waitFor(t, "every request to arrive", func() bool { return srv.Metrics().Requests == int64(len(reqs)) })
+			} else {
+				waitFor(t, "every request to be held", func() bool { return srv.Metrics().QueueDepth == int64(len(reqs)) })
+			}
+
+			closed := make(chan struct{})
+			go func() {
+				srv.Close()
+				close(closed)
+			}()
+			deadline := time.After(10 * time.Second)
+			for _, r := range replies {
+				select {
+				case r := <-r:
+					if r.err != nil || r.code != http.StatusOK && r.code/100 != 5 {
+						t.Errorf("request resolved with status %d, err %v, want 200 or 5xx", r.code, r.err)
+					}
+				case <-deadline:
+					t.Fatal("a request hung across Close")
+				}
+			}
+			select {
+			case <-closed:
+			case <-deadline:
+				t.Fatal("Close did not return")
+			}
+			hs.Close()
+			client.CloseIdleConnections()
+			checkIdentities(t, srv.Metrics())
+			waitFor(t, "goroutines to settle", func() bool { return runtime.NumGoroutine() <= baseline+2 })
+		})
 	}
 }

@@ -12,10 +12,14 @@
 //     content-addressed by the instance's canonical encoding plus the
 //     solving options, so a resident solution answers without touching
 //     the pool and identical in-flight requests fold into one solve.
-//   - a coalescing batcher: cache-missing flights are folded, within a
-//     BatchWindow, into one batch call per options signature on one
-//     shared pool — arrival concurrency becomes batch-level parallelism
-//     instead of goroutine oversubscription.
+//   - a work-conserving batcher: a cache-missing flight dispatches as
+//     soon as the pool has a free slot (fewer than Concurrency instances
+//     in flight); only while the pool is saturated do misses collect,
+//     and the collected batch dispatches as one batch call per options
+//     signature when a slot frees, or after at most 2ms. Arrival
+//     concurrency becomes batch-level parallelism instead of goroutine
+//     oversubscription, and an idle pool never makes a miss wait. A
+//     positive BatchWindow instead holds every batch that long.
 //
 // The three run once, for both recurrence classes. handleSolve selects
 // the request's class — interval (SolveBatch) or chain
@@ -30,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,13 +70,22 @@ type Config struct {
 	// QueueDepth is the admission budget: how many requests may be past
 	// admission at once (default 256). The full queue sheds with 503.
 	QueueDepth int
-	// BatchWindow is how long the batcher holds an open batch for
-	// stragglers before dispatching it (default 2ms).
+	// BatchWindow selects the batching policy. Zero (the default; negative
+	// is the same) is work-conserving: an open batch dispatches at once
+	// while the pool has a free slot, and holds — gathering misses — only
+	// while the pool is saturated, until a slot frees, MaxBatch fills, the
+	// server closes or saturatedHoldCap (2ms) passes. The cap bounds what
+	// a miss can wait behind an unrelated slow solve; the policy pays best
+	// when misses take similar solve times. A positive window holds every
+	// batch that long for stragglers (or until MaxBatch fills), busy pool
+	// or idle.
 	BatchWindow time.Duration
 	// MaxBatch caps instances per SolveBatch dispatch (default 32).
 	MaxBatch int
 	// Concurrency bounds how many instances one SolveBatch dispatch
-	// solves at once (default GOMAXPROCS, see SolveBatch).
+	// solves at once (default GOMAXPROCS, see SolveBatch). The
+	// work-conserving batcher counts the same number of pool slots,
+	// capped at Pool.Workers() when Pool is set.
 	Concurrency int
 	// CacheCapacity is the solution LRU size in entries (default 4096;
 	// negative disables caching and single-flight entirely).
@@ -105,8 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
+	if c.BatchWindow < 0 {
+		c.BatchWindow = 0
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
@@ -134,6 +148,9 @@ type Server struct {
 
 	slots   chan struct{} // admission tokens; buffered to QueueDepth
 	batchCh chan *task
+	// freed wakes a batcher holding a batch behind a saturated pool: a
+	// group whose batch call returned signals it without blocking.
+	freed chan struct{}
 
 	done    chan struct{}
 	closing atomic.Bool
@@ -167,6 +184,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		slots:   make(chan struct{}, cfg.QueueDepth),
 		batchCh: make(chan *task),
+		freed:   make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		interval: &class[sublineardp.Instance, sublineardp.Solution]{
 			domain:        "instance",
@@ -225,6 +243,12 @@ type MetricsSnapshot struct {
 	CacheHits, Coalesced, Solved          int64
 	Batches, BatchInstances               int64
 	QueueDepth                            int64
+	// BatchInflight is the instances of dispatched batch calls that have
+	// not returned yet: the pool's occupancy as the batcher counts it.
+	BatchInflight int64
+	// BatchWaitSeconds sums, over dispatches, the time from a batch's
+	// first task reaching the batcher to the batch's dispatch.
+	BatchWaitSeconds float64
 }
 
 func (s *Server) snapshot() MetricsSnapshot {
@@ -236,7 +260,8 @@ func (s *Server) snapshot() MetricsSnapshot {
 		SolveErrors: m.solveErrors.Load(), CacheHits: m.cacheHits.Load(),
 		Coalesced: m.coalesced.Load(), Solved: m.solved.Load(),
 		Batches: m.batches.Load(), BatchInstances: m.batchSolves.Load(),
-		QueueDepth: m.queueDepth.Load(),
+		QueueDepth: m.queueDepth.Load(), BatchInflight: m.batchInflight.Load(),
+		BatchWaitSeconds: time.Duration(m.batchWaitNs.Load()).Seconds(),
 	}
 }
 
@@ -560,12 +585,35 @@ func (s *Server) submit(ctx context.Context, t *task) (any, error) {
 	}
 }
 
-// batcher collects tasks into windows: the first task opens a batch,
-// stragglers join until the window elapses or the batch is full, then
-// the batch dispatches asynchronously so the next window can fill while
-// this one solves.
+// saturatedHoldCap bounds how long the work-conserving batcher holds a
+// batch behind a saturated pool: no miss waits longer for a slot than
+// it did under the fixed 2ms window this policy replaced, however slow
+// the solves occupying the pool are.
+const saturatedHoldCap = 2 * time.Millisecond
+
+// batcher collects tasks into batches and dispatches each
+// asynchronously, so the next batch can collect while this one solves.
+// The first task opens a batch and whatever is already queued joins it.
+// With a positive BatchWindow the batch then holds for stragglers until
+// the window elapses or MaxBatch fills. With the zero window it
+// dispatches at once while fewer than width instances are in flight;
+// on a saturated pool it keeps collecting until a slot frees, MaxBatch
+// fills or saturatedHoldCap passes. Close dispatches a held batch at
+// once.
 func (s *Server) batcher() {
 	defer s.wg.Done()
+	width := s.cfg.Concurrency
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	if s.cfg.Pool != nil {
+		width = min(width, s.cfg.Pool.Workers())
+	}
+	adaptive := s.cfg.BatchWindow == 0
+	hold := s.cfg.BatchWindow
+	if adaptive {
+		hold = saturatedHoldCap
+	}
 	for {
 		var first *task
 		select {
@@ -573,13 +621,29 @@ func (s *Server) batcher() {
 		case <-s.done:
 			return
 		}
+		opened := time.Now()
 		batch := []*task{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
+		timer := time.NewTimer(hold)
 	collect:
 		for len(batch) < s.cfg.MaxBatch {
+			var freed <-chan struct{}
+			if adaptive {
+				select {
+				case t := <-s.batchCh:
+					batch = append(batch, t)
+					continue
+				default:
+				}
+				if s.met.batchInflight.Load() < int64(width) {
+					break collect
+				}
+				freed = s.freed
+			}
 			select {
 			case t := <-s.batchCh:
 				batch = append(batch, t)
+			case <-freed:
+				// A group returned: re-check the slot count.
 			case <-timer.C:
 				break collect
 			case <-s.done:
@@ -587,6 +651,8 @@ func (s *Server) batcher() {
 			}
 		}
 		timer.Stop()
+		s.met.batchWaitNs.Add(int64(time.Since(opened)))
+		s.met.batchInflight.Add(int64(len(batch)))
 		s.wg.Add(1)
 		go func(batch []*task) {
 			defer s.wg.Done()
@@ -595,7 +661,7 @@ func (s *Server) batcher() {
 	}
 }
 
-// runBatch partitions a window by options signature and dispatches one
+// runBatch partitions a batch by options signature and dispatches one
 // batch call per group on the shared pool. The batch context is
 // refcounted over the member tasks' contexts: it cancels only when every
 // member has been abandoned, which is how a client disconnect propagates
@@ -606,7 +672,7 @@ func (s *Server) runBatch(batch []*task) {
 		groups[t.sig] = append(groups[t.sig], t)
 	}
 	// Dispatch groups concurrently: signatures are independent solves,
-	// and serialising them would head-of-line block a window's small
+	// and serialising them would head-of-line block a batch's small
 	// requests behind an unrelated large batch.
 	var gwg sync.WaitGroup
 	for _, group := range groups {
@@ -621,19 +687,21 @@ func (s *Server) runBatch(batch []*task) {
 
 // runGroup dispatches one options-signature group as one batch call of
 // its class. The class-tagged signature guarantees a group is
-// homogeneous: its head task's class is the whole group's class.
+// homogeneous: its head task's class is the whole group's class. When
+// the call returns, the group's instances leave the in-flight count
+// before any result is delivered, and a held batch is woken.
 func (s *Server) runGroup(group []*task) {
 	bctx, cancel := context.WithCancel(context.Background())
-	remaining := int64(len(group))
+	defer cancel()
 	var pending atomic.Int64
-	pending.Store(remaining)
-	for _, t := range group {
-		go func(done <-chan struct{}) {
-			<-done
+	pending.Store(int64(len(group)))
+	stops := make([]func() bool, len(group))
+	for i, t := range group {
+		stops[i] = context.AfterFunc(t.ctx, func() {
 			if pending.Add(-1) == 0 {
 				cancel()
 			}
-		}(t.ctx.Done())
+		})
 	}
 
 	lead := group[0]
@@ -650,6 +718,14 @@ func (s *Server) runGroup(group []*task) {
 		items[i] = t.item
 	}
 	sols, err := lead.class.batch(bctx, items, opts)
+	s.met.batchInflight.Add(-int64(len(group)))
+	select {
+	case s.freed <- struct{}{}:
+	default:
+	}
+	for _, stop := range stops {
+		stop()
+	}
 	for i, t := range group {
 		if sols[i] != nil {
 			t.res <- taskResult{sol: sols[i]}
@@ -667,7 +743,6 @@ func (s *Server) runGroup(group []*task) {
 		}
 		t.res <- taskResult{err: terr}
 	}
-	cancel() // the watcher normally fires it; this makes vet-visible cleanup unconditional
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
