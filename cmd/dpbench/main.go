@@ -32,6 +32,7 @@ import (
 	"sublineardp/internal/calibrate"
 	"sublineardp/internal/exper"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 )
 
 func main() {
@@ -536,7 +537,7 @@ func crosscheck(workers int) error {
 	}
 	want := make([]sublineardp.Cost, len(fixtures))
 	for i, in := range fixtures {
-		want[i] = sublineardp.SolveSequential(in).Cost()
+		want[i] = seq.Solve(in).Cost()
 	}
 
 	ctx := context.Background()

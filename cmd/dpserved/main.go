@@ -14,12 +14,11 @@
 // are defined (and golden-tested) in internal/wire.
 //
 // The serving knobs mirror the paper's cost model the way DESIGN.md
-// describes: -queue bounds admitted work (shed beyond it), -batch-window
+// describes: -queue bounds admitted work (shed beyond it), -concurrency
 // and -max-batch shape how arrival concurrency folds into SolveBatch
 // calls, -pool sizes the one worker pool every batch dispatches onto.
-// The default -batch-window 0 dispatches a cache miss as soon as a pool
-// slot is free and holds misses only while all -concurrency slots are
-// busy, for at most 2ms; a positive window holds every batch that long.
+// A cache miss dispatches as soon as a pool slot is free; misses are
+// held only while all -concurrency slots are busy, for at most 2ms.
 package main
 
 import (
@@ -61,12 +60,8 @@ func main() {
 		defer cancel()
 		hs.Shutdown(ctx)
 	}()
-	window := "adaptive"
-	if cfg.BatchWindow > 0 {
-		window = cfg.BatchWindow.String()
-	}
-	log.Printf("dpserved: listening on %s (engine=%s queue=%d window=%s batch<=%d cache=%d maxn=%d semirings=%v)",
-		addr, cfg.Engine, cfg.QueueDepth, window, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
+	log.Printf("dpserved: listening on %s (engine=%s queue=%d batch<=%d cache=%d maxn=%d semirings=%v)",
+		addr, cfg.Engine, cfg.QueueDepth, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
 		sublineardp.Semirings())
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("dpserved: %v", err)
@@ -81,10 +76,9 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		addr     = fs.String("addr", ":8080", "listen address")
 		engine   = fs.String("engine", sublineardp.EngineAuto, "default engine for requests that name none")
 		maxN     = fs.Int("maxn", 4096, "largest accepted instance size (negative = unbounded)")
-		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the superquadratic-memory engines: hlv-dense/rytter/semiring (O(n^4)) and hlv-banded (Θ(n^3) buffer)")
+		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the superquadratic-memory engines: hlv-dense/rytter (O(n^4)) and hlv-banded (Θ(n^3) buffer)")
 		maxW     = fs.Int("max-workers", 256, "largest accepted per-request workers option")
 		queue    = fs.Int("queue", 256, "admission queue depth (further requests are shed with 503)")
-		window   = fs.Duration("batch-window", 0, "0 = dispatch when a pool slot is free and hold (at most 2ms) only while the pool is saturated; >0 = hold every batch this long")
 		maxBatch = fs.Int("max-batch", 32, "max instances per SolveBatch dispatch")
 		conc     = fs.Int("concurrency", 0, "instances solved at once per batch (0 = GOMAXPROCS)")
 		cacheCap = fs.Int("cache", 4096, "solution cache entries (negative disables caching)")
@@ -101,7 +95,6 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		MaxNHeavy:      *maxNH,
 		MaxWorkers:     *maxW,
 		QueueDepth:     *queue,
-		BatchWindow:    *window,
 		MaxBatch:       *maxBatch,
 		Concurrency:    *conc,
 		CacheCapacity:  *cacheCap,

@@ -21,7 +21,6 @@ func TestConfigFromArgs(t *testing.T) {
 		"-engine", "hlv-banded",
 		"-maxn", "512",
 		"-queue", "7",
-		"-batch-window", "5ms",
 		"-max-batch", "9",
 		"-cache", "11",
 		"-timeout", "3s",
@@ -34,19 +33,11 @@ func TestConfigFromArgs(t *testing.T) {
 	}
 	want := serve.Config{
 		Engine: "hlv-banded", MaxN: 512, MaxNHeavy: 64, MaxWorkers: 256,
-		QueueDepth: 7, BatchWindow: 5 * time.Millisecond, MaxBatch: 9,
+		QueueDepth: 7, MaxBatch: 9,
 		CacheCapacity: 11, RequestTimeout: 3 * time.Second,
 	}
 	if cfg != want {
 		t.Errorf("cfg = %+v, want %+v", cfg, want)
-	}
-	// With no flags the batcher is work-conserving: no fixed window.
-	cfg, _, err = configFromArgs(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.BatchWindow != 0 {
-		t.Errorf("default BatchWindow = %v, want 0", cfg.BatchWindow)
 	}
 	if _, _, err := configFromArgs([]string{"-queue", "elephants"}); err == nil {
 		t.Error("bad flag value accepted")

@@ -82,11 +82,6 @@ const (
 	// always recorded (they are the pruning bounds), so Solution.Tree is
 	// O(n) without WithSplits.
 	EngineBlockedKY = "blocked-ky"
-	// EngineSemiring is a deprecated alias of the hlv-dense engine from
-	// when only one engine understood WithSemiring; every engine now
-	// evaluates any registered algebra. Kept registered so old clients
-	// and wire requests keep resolving.
-	EngineSemiring = "semiring"
 )
 
 // registry is the one name → engine table implementation behind both
@@ -199,8 +194,6 @@ var builtinInfo = map[string]EngineInfo{
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B), WithSemiring, WithSplits (O(n) tree reconstruction)"},
 	EngineBlockedKY: {Description: "Knuth-Yao pruned blocked wavefront: O(n^2) work on declared-convex min-plus instances, bitwise identical to blocked",
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B); splits always recorded"},
-	EngineSemiring: {Description: "deprecated alias of hlv-dense (every engine honours WithSemiring now)",
-		Options: "WithSemiring, WithMaxIterations + hlv-dense options"},
 }
 
 // EngineInfos returns one EngineInfo per registered engine, sorted by
@@ -227,7 +220,6 @@ func init() {
 		rytterEngine{},
 		hlvEngine{name: EngineHLVDense, variant: core.Dense},
 		hlvEngine{name: EngineHLVBanded, variant: core.Banded},
-		hlvEngine{name: EngineSemiring, variant: core.Dense},
 		blockedEngine{},
 		blockedPipeEngine{},
 		blockedKYEngine{},
@@ -334,12 +326,10 @@ func (rytterEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solu
 }
 
 // hlvEngine wraps the paper's algorithm (internal/core) in either storage
-// variant. The same struct backs the deprecated "semiring" registry name
-// (dense variant), which is why the Solution echoes e.name rather than a
-// constant.
+// variant.
 type hlvEngine struct {
 	name    string
-	variant Variant
+	variant core.Variant
 }
 
 func (e hlvEngine) Name() string { return e.name }

@@ -130,7 +130,8 @@ type Kernel interface {
 	//	tab[i*stride+j] ⊕= f(i,k,j) ⊗ tab[i*stride+k] ⊗ tab[k*stride+j]
 	//
 	// for the m cells j = j0..j0+m-1. Callers guarantee i < ka and
-	// kb <= j0, so the destination segment never aliases a read.
+	// kb <= j0, so the destination segment never aliases a read. spl ==
+	// nil folds values only; otherwise it records like RelaxSplitRowRec.
 	//
 	// RelaxSplitRow is the single-split form with the f run already bulk
 	// evaluated (Instance.FPanel): dst, right and fRow are three parallel
@@ -141,15 +142,14 @@ type Kernel interface {
 	// Implementations must match the generic fold order
 	// Extend3(f, left, right) observably — reassociating is legal only
 	// when the concrete Extend commutes.
-	RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc)
+	RelaxSplitPanel(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc)
 	RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost)
 
-	// RelaxSplitPanelRec and RelaxSplitRowRec are the split-recording
-	// twins of RelaxSplitPanel/RelaxSplitRow: spl is an int32 matrix
-	// parallel to tab (same flat layout and stride, -1 meaning "no split
-	// recorded"), and alongside every value relaxation the primitives
-	// maintain spl[i*stride+j] = the smallest k whose candidate achieves
-	// the cell's current value:
+	// RelaxSplitRowRec is the split-recording twin of RelaxSplitRow: spl
+	// is an int32 matrix parallel to tab (same flat layout and stride, -1
+	// meaning "no split recorded"), and alongside every value relaxation
+	// the recording primitives maintain spl[i*stride+j] = the smallest k
+	// whose candidate achieves the cell's current value:
 	//
 	//   - on a strict improvement, spl[d] = k;
 	//   - on a genuine tie (the candidate equals the cell and is not the
@@ -162,8 +162,7 @@ type Kernel interface {
 	// final recorded split is the smallest k achieving the optimum,
 	// exactly the sequential reference's first-strict-improver-in-
 	// ascending-k choice. Value writes must stay bitwise identical to the
-	// non-recording primitives (the conformance matrix gates this).
-	RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc)
+	// non-recording forms (the conformance matrix gates this).
 	RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost)
 
 	// RelaxSplitRowProduct is the single-split run with F in product
@@ -182,9 +181,9 @@ type Kernel interface {
 	// RelaxSplitCellRec is the range-clipped single-cell form the
 	// Knuth–Yao pruned engine closes cells with: it folds the candidate
 	// run k in [ka,kb) into the one destination cell (i,j), recording
-	// under RelaxSplitPanelRec's smallest-k tie discipline. Callers
+	// under RelaxSplitRowRec's smallest-k tie discipline. Callers
 	// guarantee i < ka and kb <= j. It is exactly
-	// RelaxSplitPanelRec(tab, spl, stride, i, ka, kb, j, 1, f) — value
+	// RelaxSplitPanel(tab, spl, stride, i, ka, kb, j, 1, f) — value
 	// writes bit-for-bit, recorded split identical — restated as its own
 	// primitive so a pruned sweep whose windows average O(1) candidates
 	// pays one direct call per cell instead of a panel dispatch, and so
@@ -410,13 +409,21 @@ func (MinPlus) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) cos
 // scalar left factor per run row. left and f are pruned at Inf; source
 // cells are canonical (<= Inf), so a candidate through an Inf cell sums
 // above Inf and loses every `v < dst` test exactly as a saturated Inf
-// would — the discipline of RelaxPanel, bitwise-matching cost.Add3.
-func (MinPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// would — the discipline of RelaxPanel, bitwise-matching cost.Add3. The
+// raw sum of pruned finite factors can still reach or exceed Inf (a
+// saturated candidate), so the recording tie clause additionally
+// requires v < Inf: a fabricated Inf == Inf match must never record a
+// split.
+func (MinPlus) RelaxSplitPanel(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
 	row := i * stride
 	dst := tab[row+j0 : row+j0+m]
+	var dsp []int32
+	if spl != nil {
+		dsp = spl[row+j0 : row+j0+m]
+	}
 	for k := ka; k < kb; k++ {
 		left := tab[row+k]
 		if left >= posInf {
@@ -428,8 +435,16 @@ func (MinPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f 
 			if fv >= posInf {
 				continue
 			}
-			if v := left + fv + src[t]; v < dst[t] {
+			v := left + fv + src[t]
+			if v < dst[t] {
 				dst[t] = v
+				if dsp != nil {
+					dsp[t] = int32(k)
+				}
+			} else if dsp != nil && v == dst[t] && v < posInf {
+				if s := dsp[t]; s < 0 || int32(k) < s {
+					dsp[t] = int32(k)
+				}
 			}
 		}
 	}
@@ -460,44 +475,8 @@ func (MinPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []co
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. The raw
-// sum of pruned finite factors can still reach or exceed Inf (a
-// saturated candidate), so the tie clause additionally requires
-// v < Inf: a fabricated Inf == Inf match must never record a split.
-// Value writes are bit-for-bit those of RelaxSplitPanel.
-func (MinPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	if m <= 0 {
-		return
-	}
-	row := i * stride
-	dst := tab[row+j0 : row+j0+m]
-	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
-		left := tab[row+k]
-		if left >= posInf {
-			continue
-		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
-		for t := range dst {
-			fv := f(i, k, j0+t)
-			if fv >= posInf {
-				continue
-			}
-			v := left + fv + src[t]
-			if v < dst[t] {
-				dst[t] = v
-				dsp[t] = int32(k)
-			} else if v == dst[t] && v < posInf {
-				if s := dsp[t]; s < 0 || int32(k) < s {
-					dsp[t] = int32(k)
-				}
-			}
-		}
-	}
-}
-
 // RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
+// RelaxSplitPanel's tie discipline.
 func (MinPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
@@ -575,8 +554,8 @@ func (MinPlus) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, 
 // RelaxSplitCellRec is the min-plus clipped cell closure: one
 // destination cell, candidates [ka,kb), best and split carried in
 // registers and stored once. Pruning and tie discipline are those of
-// RelaxSplitPanelRec, so values and splits are bit-for-bit what the
-// m=1 panel form computes.
+// the recording RelaxSplitPanel, so values and splits are bit-for-bit
+// what the m=1 panel form computes.
 func (MinPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
 	row := i * stride
 	d := row + j
@@ -771,13 +750,19 @@ func (MaxPlus) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) cos
 
 // RelaxSplitPanel relaxes upward with every factor pruned at -Inf (an
 // absent factor plus a large finite one would land inside the finite
-// range and wrongly win a max).
-func (MaxPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// range and wrongly win a max). The raw sum of pruned factors can still
+// saturate below -Inf in principle, so the recording tie clause mirrors
+// min-plus with v > -Inf.
+func (MaxPlus) RelaxSplitPanel(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
 	row := i * stride
 	dst := tab[row+j0 : row+j0+m]
+	var dsp []int32
+	if spl != nil {
+		dsp = spl[row+j0 : row+j0+m]
+	}
 	for k := ka; k < kb; k++ {
 		left := tab[row+k]
 		if left <= negInf {
@@ -793,8 +778,16 @@ func (MaxPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f 
 			if fv <= negInf {
 				continue
 			}
-			if v := left + fv + r; v > dst[t] {
+			v := left + fv + r
+			if v > dst[t] {
 				dst[t] = v
+				if dsp != nil {
+					dsp[t] = int32(k)
+				}
+			} else if dsp != nil && v == dst[t] && v > negInf {
+				if s := dsp[t]; s < 0 || int32(k) < s {
+					dsp[t] = int32(k)
+				}
 			}
 		}
 	}
@@ -828,47 +821,8 @@ func (MaxPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []co
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. All three
-// factors are already pruned at -Inf, but the raw sum can still saturate
-// below -Inf in principle, so the tie clause mirrors min-plus with
-// v > -Inf. Value writes are bit-for-bit those of RelaxSplitPanel.
-func (MaxPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	if m <= 0 {
-		return
-	}
-	row := i * stride
-	dst := tab[row+j0 : row+j0+m]
-	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
-		left := tab[row+k]
-		if left <= negInf {
-			continue
-		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
-		for t := range dst {
-			r := src[t]
-			if r <= negInf {
-				continue
-			}
-			fv := f(i, k, j0+t)
-			if fv <= negInf {
-				continue
-			}
-			v := left + fv + r
-			if v > dst[t] {
-				dst[t] = v
-				dsp[t] = int32(k)
-			} else if v == dst[t] && v > negInf {
-				if s := dsp[t]; s < 0 || int32(k) < s {
-					dsp[t] = int32(k)
-				}
-			}
-		}
-	}
-}
-
 // RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
+// RelaxSplitPanel's tie discipline.
 func (MaxPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
@@ -954,7 +908,7 @@ func (MaxPlus) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, k, 
 }
 
 // RelaxSplitCellRec is the max-plus clipped cell closure, pruning every
-// factor at -Inf under RelaxSplitPanelRec's tie discipline.
+// factor at -Inf under RelaxSplitPanel's tie discipline.
 func (MaxPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
 	row := i * stride
 	d := row + j
@@ -1126,21 +1080,41 @@ func (BoolPlan) RelaxRows(dst, src []cost.Cost, m, cnt0, cntInc, s1i, s1Step, dS
 }
 
 // RelaxSplitPanel turns on every cell of the run with a feasible
-// candidate; already-on cells skip the f evaluation entirely.
-func (BoolPlan) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// candidate; already-on cells skip the f evaluation when not recording.
+// Recording cannot skip it once a cell is on: a feasible candidate at a
+// smaller k than the recorded split is a tie that must lower the split.
+// It still skips f whenever the recorded split is already <= k.
+func (BoolPlan) RelaxSplitPanel(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
 	row := i * stride
 	dst := tab[row+j0 : row+j0+m]
+	var dsp []int32
+	if spl != nil {
+		dsp = spl[row+j0 : row+j0+m]
+	}
 	for k := ka; k < kb; k++ {
 		if tab[row+k] == 0 {
 			continue
 		}
 		src := tab[k*stride+j0 : k*stride+j0+m]
 		for t := range dst {
-			if dst[t] == 0 && src[t] != 0 && f(i, k, j0+t) != 0 {
+			if dst[t] != 0 {
+				if dsp == nil {
+					continue
+				}
+				if s := dsp[t]; s >= 0 && s <= int32(k) {
+					continue
+				}
+				if src[t] != 0 && f(i, k, j0+t) != 0 {
+					dsp[t] = int32(k)
+				}
+			} else if src[t] != 0 && f(i, k, j0+t) != 0 {
 				dst[t] = 1
+				if dsp != nil {
+					dsp[t] = int32(k)
+				}
 			}
 		}
 	}
@@ -1162,42 +1136,8 @@ func (BoolPlan) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []c
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. Unlike the
-// non-recording body it cannot skip the f evaluation once a cell is on:
-// a feasible candidate at a smaller k than the recorded split is a tie
-// that must lower the split. It still skips f whenever the recorded
-// split is already <= k. Value writes are bit-for-bit those of
-// RelaxSplitPanel.
-func (BoolPlan) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	if m <= 0 {
-		return
-	}
-	row := i * stride
-	dst := tab[row+j0 : row+j0+m]
-	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
-		if tab[row+k] == 0 {
-			continue
-		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
-		for t := range dst {
-			if dst[t] != 0 {
-				if s := dsp[t]; s >= 0 && s <= int32(k) {
-					continue
-				}
-				if src[t] != 0 && f(i, k, j0+t) != 0 {
-					dsp[t] = int32(k)
-				}
-			} else if src[t] != 0 && f(i, k, j0+t) != 0 {
-				dst[t] = 1
-				dsp[t] = int32(k)
-			}
-		}
-	}
-}
-
 // RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
+// RelaxSplitPanel's tie discipline.
 func (BoolPlan) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 || tab[i*stride+k] == 0 {
 		return
@@ -1230,7 +1170,8 @@ func (b BoolPlan) RelaxSplitRowProduct(tab []cost.Cost, spl []int32, stride, i, 
 // RelaxSplitCellRec is the bool-plan clipped cell closure: once the
 // cell is on with a recorded split at or below k the remaining
 // (ascending) candidates cannot lower it, so the scan stops early;
-// otherwise it follows RelaxSplitPanelRec's discipline exactly.
+// otherwise it follows the recording RelaxSplitPanel's discipline
+// exactly.
 func (BoolPlan) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
 	row := i * stride
 	d := row + j

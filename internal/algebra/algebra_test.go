@@ -259,8 +259,8 @@ func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 			j0 := kb + rng.Intn(3)
 			m := rng.Intn(stride - j0 + 1)
 			tabB := append([]cost.Cost(nil), tabA...)
-			k.RelaxSplitPanel(tabA, stride, i, ka, kb, j0, m, f)
-			relaxSplitPanelGeneric(k, tabB, stride, i, ka, kb, j0, m, f)
+			k.RelaxSplitPanel(tabA, nil, stride, i, ka, kb, j0, m, f)
+			relaxSplitPanelGeneric(k, tabB, nil, stride, i, ka, kb, j0, m, f)
 			for c := range tabA {
 				if tabA[c] != tabB[c] {
 					t.Fatalf("%s: RelaxSplitPanel diverges from generic at %d (%d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
@@ -339,12 +339,12 @@ func TestSplitRecPrimitivesMatchGenericWalk(t *testing.T) {
 			tabB := append([]cost.Cost(nil), tabA...)
 			splB := append([]int32(nil), splA...)
 			tabPlain := append([]cost.Cost(nil), tabA...)
-			k.RelaxSplitPanelRec(tabA, splA, stride, i, ka, kb, j0, m, f)
-			relaxSplitPanelRecGeneric(k, tabB, splB, stride, i, ka, kb, j0, m, f)
-			k.RelaxSplitPanel(tabPlain, stride, i, ka, kb, j0, m, f)
+			k.RelaxSplitPanel(tabA, splA, stride, i, ka, kb, j0, m, f)
+			relaxSplitPanelGeneric(k, tabB, splB, stride, i, ka, kb, j0, m, f)
+			k.RelaxSplitPanel(tabPlain, nil, stride, i, ka, kb, j0, m, f)
 			for c := range tabA {
 				if tabA[c] != tabB[c] || splA[c] != splB[c] {
-					t.Fatalf("%s: RelaxSplitPanelRec diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
+					t.Fatalf("%s: recording RelaxSplitPanel diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
 						k.Name(), c, tabA[c], tabB[c], splA[c], splB[c], i, ka, kb, j0, m)
 				}
 				if tabA[c] != tabPlain[c] {
@@ -448,8 +448,8 @@ func productRun(rng *rand.Rand, m int) (scale int64, w []int64, f []cost.Cost) {
 // RelaxSplitCellRec is specified as exactly the m=1 panel form — the
 // Knuth–Yao driver leans on that to stay bitwise identical to the
 // unpruned engine. Pin every kernel (and the derived fallback) against
-// RelaxSplitPanelRec on random prior states, including pre-recorded
-// splits and Zero-saturated cells.
+// the recording RelaxSplitPanel on random prior states, including
+// pre-recorded splits and Zero-saturated cells.
 func TestRelaxSplitCellRecMatchesPanelForm(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(321))
@@ -482,7 +482,7 @@ func TestRelaxSplitCellRecMatchesPanelForm(t *testing.T) {
 			tabB := append([]cost.Cost(nil), tabA...)
 			splB := append([]int32(nil), splA...)
 			k.RelaxSplitCellRec(tabA, splA, stride, i, ka, kb, j, f)
-			k.RelaxSplitPanelRec(tabB, splB, stride, i, ka, kb, j, 1, f)
+			k.RelaxSplitPanel(tabB, splB, stride, i, ka, kb, j, 1, f)
 			for c := range tabA {
 				if tabA[c] != tabB[c] || splA[c] != splB[c] {
 					t.Fatalf("%s: RelaxSplitCellRec diverges from m=1 panel at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j=%d",

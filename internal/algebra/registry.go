@@ -157,16 +157,12 @@ func (d derived) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) c
 	return reduceRelaxGeneric(d, best, a, b, sh)
 }
 
-func (d derived) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	relaxSplitPanelGeneric(d, tab, stride, i, ka, kb, j0, m, f)
+func (d derived) RelaxSplitPanel(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+	relaxSplitPanelGeneric(d, tab, spl, stride, i, ka, kb, j0, m, f)
 }
 
 func (d derived) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost) {
 	relaxSplitRowGeneric(d, tab, stride, i, k, j0, m, fRow)
-}
-
-func (d derived) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	relaxSplitPanelRecGeneric(d, tab, spl, stride, i, ka, kb, j0, m, f)
 }
 
 func (d derived) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
@@ -221,26 +217,6 @@ func relaxPanelGeneric(k Kernel, dst, src []cost.Cost, base []int, p Panel) {
 	}
 }
 
-// relaxSplitPanelGeneric is the reference walk every specialised
-// RelaxSplitPanel must agree with: candidates fold in the sequential
-// solver's order Extend3(f, left, right), so a non-commutative Extend
-// still observes exactly what seq.SolveSemiringCtx computes.
-func relaxSplitPanelGeneric(k Kernel, tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	row := i * stride
-	for s := ka; s < kb; s++ {
-		left := tab[row+s]
-		if k.IsZero(left) {
-			continue
-		}
-		for t := 0; t < m; t++ {
-			j := j0 + t
-			if v := k.Extend3(f(i, s, j), left, tab[s*stride+j]); k.Better(v, tab[row+j]) {
-				tab[row+j] = v
-			}
-		}
-	}
-}
-
 // relaxSplitRowGeneric is the reference walk of the pre-evaluated form.
 func relaxSplitRowGeneric(k Kernel, tab []cost.Cost, stride, i, s, j0, m int, fRow []cost.Cost) {
 	left := tab[i*stride+s]
@@ -256,14 +232,16 @@ func relaxSplitRowGeneric(k Kernel, tab []cost.Cost, stride, i, s, j0, m int, fR
 	}
 }
 
-// relaxSplitPanelRecGeneric is the reference recording walk every
-// specialised RelaxSplitPanelRec must agree with (the algebra package
-// tests pin the shipped ones against it). The tie clause — a candidate
-// that neither improves nor is improved by the cell, and is not Zero,
-// lowers the recorded split to min(current, k) — is what makes the
-// result independent of candidate evaluation order; see the Kernel
-// interface comment.
-func relaxSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// relaxSplitPanelGeneric is the reference walk every specialised
+// RelaxSplitPanel must agree with (the algebra package tests pin the
+// shipped ones against it): candidates fold in the sequential solver's
+// order Extend3(f, left, right), so a non-commutative Extend still
+// observes exactly what seq.SolveSemiringCtx computes. With a non-nil
+// spl it records: the tie clause — a candidate that neither improves nor
+// is improved by the cell, and is not Zero, lowers the recorded split to
+// min(current, k) — is what makes the result independent of candidate
+// evaluation order; see the Kernel interface comment.
+func relaxSplitPanelGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
 	row := i * stride
 	for s := ka; s < kb; s++ {
 		left := tab[row+s]
@@ -276,8 +254,10 @@ func relaxSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i
 			v := k.Extend3(f(i, s, j), left, tab[s*stride+j])
 			if k.Better(v, tab[d]) {
 				tab[d] = v
-				spl[d] = int32(s)
-			} else if !k.Better(tab[d], v) && !k.IsZero(v) {
+				if spl != nil {
+					spl[d] = int32(s)
+				}
+			} else if spl != nil && !k.Better(tab[d], v) && !k.IsZero(v) {
 				if cur := spl[d]; cur < 0 || int32(s) < cur {
 					spl[d] = int32(s)
 				}
@@ -337,11 +317,11 @@ func relaxSplitRowProductGeneric(k Kernel, tab []cost.Cost, spl []int32, stride,
 }
 
 // relaxSplitCellRecGeneric is the reference walk of the clipped cell
-// closure: definitionally RelaxSplitPanelRec with a length-1 destination
-// run, so every specialised RelaxSplitCellRec is pinned against the
-// panel form rather than against a third body.
+// closure: definitionally the recording RelaxSplitPanel with a length-1
+// destination run, so every specialised RelaxSplitCellRec is pinned
+// against the panel form rather than against a third body.
 func relaxSplitCellRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	relaxSplitPanelRecGeneric(k, tab, spl, stride, i, ka, kb, j, 1, f)
+	relaxSplitPanelGeneric(k, tab, spl, stride, i, ka, kb, j, 1, f)
 }
 
 // reduceRelaxGeneric is the reference reduction walk.

@@ -115,21 +115,8 @@ func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
 		} else {
 			t.sr.RelaxSplitRow(t.data, t.stride, i, k, j0, m, fbuf)
 		}
-	case t.splits != nil:
-		t.sr.RelaxSplitPanelRec(t.data, t.splits, t.stride, i, k, k+1, j0, m, t.f)
 	default:
-		t.sr.RelaxSplitPanel(t.data, t.stride, i, k, k+1, j0, m, t.f)
-	}
-}
-
-// relaxPanel folds the split run [ka,kb) into row i's cells j0..j0+m-1,
-// recording when the run asked for it — the multi-split form the phase A
-// sweep and the off-diagonal block-I fold share.
-func (t *tileSolver[S]) relaxPanel(i, ka, kb, j0, m int) {
-	if t.splits != nil {
-		t.sr.RelaxSplitPanelRec(t.data, t.splits, t.stride, i, ka, kb, j0, m, t.f)
-	} else {
-		t.sr.RelaxSplitPanel(t.data, t.stride, i, ka, kb, j0, m, t.f)
+		t.sr.RelaxSplitPanel(t.data, t.splits, t.stride, i, k, k+1, j0, m, t.f)
 	}
 }
 
@@ -146,7 +133,7 @@ func (t *tileSolver[S]) foldRowInterior(fbuf []cost.Cost, i, I, J int) int64 {
 				t.relaxRun(fbuf, i, k, j0, m)
 			}
 		} else {
-			t.relaxPanel(i, t.lo(K), t.hi(K), j0, m)
+			t.sr.RelaxSplitPanel(t.data, t.splits, t.stride, i, t.lo(K), t.hi(K), j0, m, t.f)
 		}
 	}
 	return int64(m) * int64(j0-t.hi(I))
@@ -181,7 +168,7 @@ func (t *tileSolver[S]) closeTile(fbuf []cost.Cost, I, J int) int64 {
 				t.relaxRun(fbuf, i, k, j0, m)
 			}
 		} else if i+1 < i1 {
-			t.relaxPanel(i, i+1, i1, j0, m)
+			t.sr.RelaxSplitPanel(t.data, t.splits, t.stride, i, i+1, i1, j0, m, t.f)
 		}
 		work += int64(i1-i-1) * int64(m)
 		for k := j0; k < j1-1; k++ {

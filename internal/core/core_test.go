@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/btree"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/pebble"
@@ -327,7 +328,8 @@ func TestOptionStrings(t *testing.T) {
 }
 
 // Property: on random instances every configuration agrees with the
-// sequential DP.
+// sequential DP, and under max-plus and bool-plan the dense engine's
+// fixed 2*ceil(sqrt n) budget reaches the brute-force optimum.
 func TestSolversAgreeProperty(t *testing.T) {
 	cfgs := allConfigs()
 	f := func(seed int64, nn uint8) bool {
@@ -336,6 +338,12 @@ func TestSolversAgreeProperty(t *testing.T) {
 		want := seq.Solve(in).Table
 		for _, opts := range cfgs {
 			if !Solve(in, opts).Table.Equal(want) {
+				return false
+			}
+		}
+		for _, alg := range []string{algebra.NameMaxPlus, algebra.NameBoolPlan} {
+			in.Algebra = alg
+			if Solve(in, Options{Variant: Dense, Termination: FixedIterations}).Cost() != seq.BruteForce(in) {
 				return false
 			}
 		}

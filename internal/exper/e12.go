@@ -3,12 +3,16 @@ package exper
 import (
 	"math/rand"
 
-	"sublineardp/internal/semiring"
+	"sublineardp/internal/algebra"
+	"sublineardp/internal/core"
+	"sublineardp/internal/cost"
+	"sublineardp/internal/recurrence"
+	"sublineardp/internal/seq"
 )
 
 // E12Semirings exercises the generalisation of the algorithm to arbitrary
 // idempotent semirings (an extension beyond the paper; see
-// internal/semiring): min-plus (the paper), max-plus (costliest
+// internal/algebra): min-plus (the paper), max-plus (costliest
 // parenthesization) and boolean feasibility all converge within the
 // Lemma 3.3 budget because the pebbling argument never uses more than
 // idempotency, distributivity and monotonicity.
@@ -27,50 +31,53 @@ func E12Semirings(cfg Config) []*Table {
 		Columns:  []string{"semiring", "passed", "iterations used (= budget)"},
 	}
 
-	rings := []semiring.Semiring{semiring.MinPlus{}, semiring.MaxPlus{}, semiring.BoolPlan{}}
-	for _, sr := range rings {
+	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
 		passed, total, iters := 0, 0, 0
 		for _, n := range sizes {
 			for _, seed := range seeds {
-				in := randomSemiringInstance(sr, n, seed)
+				in := randomSemiringInstance(alg, n, seed)
 				total++
-				res := semiring.SolveHLV(sr, in, 0)
+				res := core.Solve(in, core.Options{Variant: core.Dense, Termination: core.FixedIterations})
 				iters = res.Iterations
-				if res.Root() == semiring.BruteForce(sr, in) {
+				if res.Cost() == seq.BruteForce(in) {
 					passed++
 				}
 			}
 		}
-		t.AddRow(sr.Name(), fmtFrac(passed, total), iters)
+		t.AddRow(alg, fmtFrac(passed, total), iters)
 	}
 	t.Note("counting parenthesizations ((+,*), non-idempotent) is deliberately unsupported: re-Combining the same tree across iterations would overcount")
 	return []*Table{t}
 }
 
-func randomSemiringInstance(sr semiring.Semiring, n int, seed int64) *semiring.Instance {
+// randomSemiringInstance draws a random instance declaring the named
+// algebra: f and init uniform in [0,40), or in {0,1} with every leaf
+// present for bool-plan.
+func randomSemiringInstance(alg string, n int, seed int64) *recurrence.Instance {
 	rng := rand.New(rand.NewSource(seed))
 	sz := n + 1
-	f := make([]int64, sz*sz*sz)
-	ini := make([]int64, n)
-	boolean := sr.Name() == "bool-plan"
+	f := make([]cost.Cost, sz*sz*sz)
+	ini := make([]cost.Cost, n)
+	boolean := alg == algebra.NameBoolPlan
 	for i := range f {
 		if boolean {
-			f[i] = int64(rng.Intn(2))
+			f[i] = cost.Cost(rng.Intn(2))
 		} else {
-			f[i] = rng.Int63n(40)
+			f[i] = cost.Cost(rng.Int63n(40))
 		}
 	}
 	for i := range ini {
 		if boolean {
 			ini[i] = 1
 		} else {
-			ini[i] = rng.Int63n(40)
+			ini[i] = cost.Cost(rng.Int63n(40))
 		}
 	}
-	return &semiring.Instance{
-		N:    n,
-		Name: sr.Name(),
-		Init: func(i int) int64 { return ini[i] },
-		F:    func(i, k, j int) int64 { return f[(i*sz+k)*sz+j] },
+	return &recurrence.Instance{
+		N:       n,
+		Name:    alg,
+		Algebra: alg,
+		Init:    func(i int) cost.Cost { return ini[i] },
+		F:       func(i, k, j int) cost.Cost { return f[(i*sz+k)*sz+j] },
 	}
 }

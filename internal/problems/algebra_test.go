@@ -102,6 +102,25 @@ func TestForbiddenSplitsSemantics(t *testing.T) {
 	if res.Cost() != 0 {
 		t.Fatalf("banned leaf must be infeasible, got %d", res.Cost())
 	}
+
+	// Feasibility is min-plus finiteness: mapping present to 0 and
+	// absent to Inf, the min-plus optimum is finite exactly when a plan
+	// exists.
+	for _, banned := range [][][2]int{{{1, 3}}, all2, {{1, 2}}, {{0, 2}, {2, 4}}} {
+		plan := ForbiddenSplits(4, banned)
+		gate := func(v cost.Cost) cost.Cost {
+			if v != 0 {
+				return 0
+			}
+			return cost.Inf
+		}
+		twin := &recurrence.Instance{N: plan.N, Name: plan.Name + "-minplus",
+			Init: func(i int) cost.Cost { return gate(plan.Init(i)) },
+			F:    func(i, k, j int) cost.Cost { return gate(plan.F(i, k, j)) }}
+		if feasible, finite := seq.BruteForce(plan) == 1, seq.Solve(twin).Cost() < cost.Inf; feasible != finite {
+			t.Errorf("banned %v: bool-plan feasible %v, min-plus finite %v", banned, feasible, finite)
+		}
+	}
 }
 
 func TestForbiddenSplitsCanonOrderIndependent(t *testing.T) {

@@ -232,35 +232,36 @@ func SolveKnuth(in *recurrence.Instance) *Result {
 	return res
 }
 
-// BruteForce computes c(0,n) by exhaustive recursion with memoisation
-// over all parenthesizations. Exponential bookkeeping but entirely
-// independent of the DP formulation; tests use it at tiny n as ground
+// BruteForce computes c(0,n) under the instance's declared algebra by
+// exhaustive recursion with memoisation over all parenthesizations.
+// Exponential bookkeeping but entirely independent of the DP
+// formulation; tests and experiment E12 use it at tiny n as ground
 // truth for everything else.
 func BruteForce(in *recurrence.Instance) cost.Cost {
+	sr, err := algebra.Resolve(nil, in.Algebra)
+	if err != nil {
+		panic(err)
+	}
 	n := in.N
 	size := n + 1
 	memo := make([]cost.Cost, size*size)
-	for i := range memo {
-		memo[i] = -1
-	}
+	done := make([]bool, size*size)
 	var rec func(i, j int) cost.Cost
 	rec = func(i, j int) cost.Cost {
-		if m := memo[i*size+j]; m >= 0 {
-			return m
+		c := i*size + j
+		if done[c] {
+			return memo[c]
 		}
 		var v cost.Cost
 		if j == i+1 {
 			v = in.Init(i)
 		} else {
-			v = cost.Inf
+			v = sr.Zero()
 			for k := i + 1; k < j; k++ {
-				c := cost.Add3(in.F(i, k, j), rec(i, k), rec(k, j)) //lint:allow bulkonly brute-force ground truth for tiny n; test-only by construction
-				if c < v {
-					v = c
-				}
+				v = sr.Relax3(v, in.F(i, k, j), rec(i, k), rec(k, j)) //lint:allow bulkonly brute-force ground truth for tiny n; test-only by construction
 			}
 		}
-		memo[i*size+j] = v
+		memo[c], done[c] = v, true
 		return v
 	}
 	return rec(0, n)

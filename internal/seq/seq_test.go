@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/btree"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
@@ -41,13 +42,16 @@ func TestTinyInstancesByHand(t *testing.T) {
 }
 
 func TestSolveMatchesBruteForce(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-			in := problems.RandomInstance(n, 40, seed)
-			got := Solve(in).Cost()
-			want := BruteForce(in)
-			if got != want {
-				t.Fatalf("n=%d seed=%d: Solve=%d BruteForce=%d", n, seed, got, want)
+	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
+		for seed := int64(0); seed < 12; seed++ {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+				in := problems.RandomInstance(n, 40, seed)
+				in.Algebra = alg
+				got := Solve(in).Cost()
+				want := BruteForce(in)
+				if got != want {
+					t.Fatalf("%s n=%d seed=%d: Solve=%d BruteForce=%d", alg, n, seed, got, want)
+				}
 			}
 		}
 	}

@@ -32,6 +32,7 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 	"sublineardp/internal/wire"
 )
 
@@ -924,7 +925,7 @@ func TestE2EReconstructionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sublineardp.SolveSequential(in).Tree()
+	want := seq.Solve(in).Tree()
 
 	first := post(treq)
 	if first.Cached || first.Coalesced {
@@ -1068,18 +1069,23 @@ func TestE2EChainBadRequests(t *testing.T) {
 
 // TestE2EBatcherKeepsClassesApart is the wall for the class-generic
 // protocol: interval and chain requests that resolve to the same engine
-// name ("sequential") with identical options, all inside one batch
-// window, must split into one batch call per class — never a chain in a
-// SolveBatch or an instance in a SolveChainBatch — answer bitwise like
-// direct Solver / ChainSolver solves, and repeat as cache hits of their
-// own class's store only.
+// name ("sequential") with identical options, all held in one batch
+// behind a saturated pool, must split into one batch call per class —
+// never a chain in a SolveBatch or an instance in a SolveChainBatch —
+// answer bitwise like direct Solver / ChainSolver solves, and repeat as
+// cache hits of their own class's store only.
 func TestE2EBatcherKeepsClassesApart(t *testing.T) {
-	srv, err := New(Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 64})
+	srv, err := New(Config{Concurrency: 1, MaxBatch: 64, hold: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := startLoopback(t, srv)
 	client := &http.Client{Timeout: 60 * time.Second}
+	slow := goPost(client, base, slowSequential())
+	waitFor(t, "the slow solve to occupy the slot", func() bool {
+		m := srv.Metrics()
+		return m.BatchInflight == 1 && m.Batches == 1
+	})
 
 	seq := wire.Options{Engine: "sequential"}
 	xs, ys := problems.RandomSeries(30, 5)
@@ -1142,7 +1148,11 @@ func TestE2EBatcherKeepsClassesApart(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if m := srv.Metrics(); m.Batches != 2 || m.BatchInstances != int64(len(all)) {
+	if r := <-slow; r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("slow solve: status %d, err %v: %s", r.code, r.err, r.body)
+	}
+	// Batches are counted past the slow solve's own.
+	if m := srv.Metrics(); m.Batches-1 != 2 || m.BatchInstances-1 != int64(len(all)) {
 		t.Fatalf("metrics %+v, want 2 batches (one per class) of %d instances", m, len(all))
 	}
 
@@ -1157,7 +1167,7 @@ func TestE2EBatcherKeepsClassesApart(t *testing.T) {
 	if hits := srv.chain.store.Stats().Hits; hits != int64(len(chain)) {
 		t.Errorf("chain store hits %d, want %d", hits, len(chain))
 	}
-	if m := srv.Metrics(); m.Batches != 2 || m.CacheHits != int64(len(all)) {
+	if m := srv.Metrics(); m.Batches-1 != 2 || m.CacheHits != int64(len(all)) {
 		t.Fatalf("metrics after repeats %+v, want still 2 batches and %d hits", m, len(all))
 	}
 }

@@ -128,6 +128,8 @@ func TestBadRequestsAre400(t *testing.T) {
 		{Kind: wire.KindMatrixChain, Dims: []int{1, 2, 3}, Options: wire.Options{Mode: "frantic"}},
 		// n=9 exceeds MaxN=8
 		{Kind: wire.KindMatrixChain, Dims: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		// The retired alias of hlv-dense is an unknown engine.
+		{Kind: wire.KindMatrixChain, Dims: []int{1, 2, 3}, Options: wire.Options{Engine: "semiring"}},
 	}
 	for i, req := range cases {
 		resp, body := postSolve(t, hs.URL, req)
@@ -139,23 +141,31 @@ func TestBadRequestsAre400(t *testing.T) {
 			t.Errorf("case %d: malformed error body %s", i, body)
 		}
 	}
-	// Malformed JSON entirely.
-	resp, err := http.Post(hs.URL+"/solve", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON entirely, and a valid request followed by garbage
+	// or by a second request: a body is exactly one JSON value.
+	raw := []string{
+		"{nope",
+		`{"kind":"matrixchain","dims":[2,3,4]} garbage`,
+		`{"kind":"matrixchain","dims":[2,3,4]}{"kind":"nosuch"}`,
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for _, body := range raw {
+		resp, err := http.Post(hs.URL+"/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
-	if m := srv.Metrics(); m.BadRequests != int64(len(cases))+1 || m.OK != 0 {
-		t.Errorf("metrics %+v, want %d bad requests", srv.Metrics(), len(cases)+1)
+	if m := srv.Metrics(); m.BadRequests != int64(len(cases)+len(raw)) || m.OK != 0 {
+		t.Errorf("metrics %+v, want %d bad requests", srv.Metrics(), len(cases)+len(raw))
 	}
 }
 
 // TestResourcePolicyRejections pins the engine-aware admission policy:
-// the superquadratic-memory engines — the O(n^4) hlv-dense, rytter and
-// semiring, and hlv-banded with its Θ(n^3) deficit buffer — get the
+// the superquadratic-memory engines — the O(n^4) hlv-dense and rytter,
+// and hlv-banded with its Θ(n^3) deficit buffer — get the
 // stricter MaxNHeavy size bound, and the per-request workers option is
 // capped — both are single-request denial-of-service vectors otherwise.
 func TestResourcePolicyRejections(t *testing.T) {
@@ -167,7 +177,6 @@ func TestResourcePolicyRejections(t *testing.T) {
 	rejected := []*wire.Request{
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-dense"}},
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "rytter"}},
-		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "semiring"}},
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-banded"}},
 		{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}, Options: wire.Options{Workers: 9}},
 	}
@@ -293,28 +302,19 @@ func TestRetiredLargeCutoffIsAcceptedAndIgnored(t *testing.T) {
 }
 
 func TestAdmissionQueueShedsWith503(t *testing.T) {
-	// QueueDepth 1 and a long batch window: the first request occupies
-	// the only slot inside the window, the second is shed immediately.
-	srv, hs := newTestServer(t, Config{QueueDepth: 1, BatchWindow: 300 * time.Millisecond})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}})
-	}()
-	// Wait for the first request to be admitted.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{5, 6, 7}})
+	// QueueDepth 1 behind a saturated pool: the slow solve occupies the
+	// only admission slot while it holds the only pool slot, so a second
+	// request is shed immediately.
+	srv, hs := newTestServer(t, Config{QueueDepth: 1, Concurrency: 1})
+	slow := goPost(http.DefaultClient, hs.URL, slowSequential())
+	waitFor(t, "the slow solve to be admitted", func() bool { return srv.Metrics().QueueDepth == 1 })
+	resp, body := postSolve(t, hs.URL, tinyMiss(0))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d (%s), want 503", resp.StatusCode, body)
 	}
-	wg.Wait()
+	if r := <-slow; r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("slow solve: status %d, err %v: %s", r.code, r.err, r.body)
+	}
 	if m := srv.Metrics(); m.RejectedFull != 1 {
 		t.Fatalf("metrics %+v, want 1 rejection", m)
 	}
@@ -340,9 +340,14 @@ func TestRequestTimeoutIs504(t *testing.T) {
 }
 
 func TestBatcherCoalescesAWindow(t *testing.T) {
-	// Distinct instances arriving within one long window must be folded
-	// into few SolveBatch dispatches, not one per request.
-	srv, hs := newTestServer(t, Config{BatchWindow: 150 * time.Millisecond, MaxBatch: 64})
+	// Distinct instances arriving while a slow solve saturates the pool
+	// must be folded into few SolveBatch dispatches, not one per request.
+	srv, hs := newTestServer(t, Config{Concurrency: 1, MaxBatch: 64, hold: 150 * time.Millisecond})
+	slow := goPost(http.DefaultClient, hs.URL, slowSequential())
+	waitFor(t, "the slow solve to occupy the slot", func() bool {
+		m := srv.Metrics()
+		return m.BatchInflight == 1 && m.Batches == 1
+	})
 	const n = 12
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -358,12 +363,16 @@ func TestBatcherCoalescesAWindow(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	m := srv.Metrics()
-	if m.Solved != n || m.BatchInstances != n {
-		t.Fatalf("metrics %+v, want %d solved instances", m, n)
+	if r := <-slow; r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("slow solve: status %d, err %v: %s", r.code, r.err, r.body)
 	}
-	if m.Batches >= n/2 {
-		t.Fatalf("%d batches for %d concurrent requests: batcher not coalescing", m.Batches, n)
+	// Counted past the slow solve's own batch.
+	m := srv.Metrics()
+	if m.Solved-1 != n || m.BatchInstances-1 != n {
+		t.Fatalf("metrics %+v, want %d solved instances past the slow one", m, n)
+	}
+	if batches := m.Batches - 1; batches >= n/2 {
+		t.Fatalf("%d batches for %d concurrent requests: batcher not coalescing", batches, n)
 	}
 }
 
@@ -502,8 +511,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestBatcherHoldsOnlyWhileSaturated pins the work-conserving policy of
-// the zero BatchWindow in both regimes: on an idle pool every miss
+// TestBatcherHoldsOnlyWhileSaturated pins the work-conserving batcher
+// in both regimes: on an idle pool every miss
 // dispatches at once, and behind a saturated pool misses are held —
 // but never past saturatedHoldCap, so a slow solve occupying the pool
 // does not make unrelated small misses wait for it.
@@ -589,11 +598,11 @@ func TestBatcherHoldsOnlyWhileSaturated(t *testing.T) {
 }
 
 // TestCloseDrainsHeldAndInFlightBatches closes a server while batches
-// are in flight and held: under the default policy with a slow solve
-// occupying the only slot while misses arrive behind it, and with a
-// batch held in an open window. Every request must still resolve, Close
-// must return, the counters must balance and no goroutine may outlive
-// the server.
+// are in flight and held: a slow solve occupies the only slot while
+// misses arrive behind it, under the default 2ms hold and with a long
+// hold window that keeps every miss in the open batch. Every request
+// must still resolve, Close must return, the counters must balance and
+// no goroutine may outlive the server.
 func TestCloseDrainsHeldAndInFlightBatches(t *testing.T) {
 	// The shared pool's workers start on first use and persist; start
 	// them before counting goroutines.
@@ -601,10 +610,10 @@ func TestCloseDrainsHeldAndInFlightBatches(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		slow bool // occupy the only slot first, so the misses queue behind it
+		held bool // a long hold: every miss is still held at Close
 	}{
-		{"saturated", Config{Concurrency: 1}, true},
-		{"window", Config{BatchWindow: 300 * time.Millisecond}, false},
+		{"saturated", Config{Concurrency: 1}, false},
+		{"window", Config{Concurrency: 1, hold: 300 * time.Millisecond}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -616,24 +625,21 @@ func TestCloseDrainsHeldAndInFlightBatches(t *testing.T) {
 			hs := httptest.NewServer(srv.Handler())
 			client := &http.Client{Transport: &http.Transport{}}
 
-			reqs := []*wire.Request{tinyMiss(0), tinyMiss(1), tinyMiss(2), tinyMiss(3)}
-			if tc.slow {
-				reqs = append([]*wire.Request{slowSequential()}, reqs...)
-			}
+			reqs := []*wire.Request{slowSequential(), tinyMiss(0), tinyMiss(1), tinyMiss(2), tinyMiss(3)}
 			replies := make([]<-chan reply, len(reqs))
 			for i, req := range reqs {
 				replies[i] = goPost(client, hs.URL, req)
-				if i == 0 && tc.slow {
+				if i == 0 {
 					waitFor(t, "the slow solve to occupy the slot", func() bool { return srv.Metrics().BatchInflight == 1 })
 				}
 			}
-			if tc.slow {
+			if tc.held {
+				waitFor(t, "every request to be held", func() bool { return srv.Metrics().QueueDepth == int64(len(reqs)) })
+			} else {
 				// The misses are held for at most saturatedHoldCap, so
 				// they may be held, in flight or answered at Close; the
 				// slow solve is still in flight.
 				waitFor(t, "every request to arrive", func() bool { return srv.Metrics().Requests == int64(len(reqs)) })
-			} else {
-				waitFor(t, "every request to be held", func() bool { return srv.Metrics().QueueDepth == int64(len(reqs)) })
 			}
 
 			closed := make(chan struct{})

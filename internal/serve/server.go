@@ -18,8 +18,7 @@
 //     and the collected batch dispatches as one batch call per options
 //     signature when a slot frees, or after at most 2ms. Arrival
 //     concurrency becomes batch-level parallelism instead of goroutine
-//     oversubscription, and an idle pool never makes a miss wait. A
-//     positive BatchWindow instead holds every batch that long.
+//     oversubscription, and an idle pool never makes a miss wait.
 //
 // The three run once, for both recurrence classes. handleSolve selects
 // the request's class — interval (SolveBatch) or chain
@@ -33,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -56,8 +56,8 @@ type Config struct {
 	// engines auto routes to, whose working set is O(n^2).
 	MaxN int
 	// MaxNHeavy is the stricter size bound for the superquadratic-memory
-	// engines a request may name explicitly — hlv-dense, rytter and
-	// semiring (O(n^4) partial-weight arrays) and hlv-banded, whose
+	// engines a request may name explicitly — hlv-dense and rytter
+	// (O(n^4) partial-weight arrays) and hlv-banded, whose
 	// deficit buffer is Θ(n^3) cells (default 64; negative = unbounded).
 	// Without it one request for hlv-dense at n=256 would try to
 	// allocate ~70 GB, and one for hlv-banded at n=1024 ~16 GB.
@@ -70,22 +70,16 @@ type Config struct {
 	// QueueDepth is the admission budget: how many requests may be past
 	// admission at once (default 256). The full queue sheds with 503.
 	QueueDepth int
-	// BatchWindow selects the batching policy. Zero (the default; negative
-	// is the same) is work-conserving: an open batch dispatches at once
-	// while the pool has a free slot, and holds — gathering misses — only
-	// while the pool is saturated, until a slot frees, MaxBatch fills, the
-	// server closes or saturatedHoldCap (2ms) passes. The cap bounds what
-	// a miss can wait behind an unrelated slow solve; the policy pays best
-	// when misses take similar solve times. A positive window holds every
-	// batch that long for stragglers (or until MaxBatch fills), busy pool
-	// or idle.
-	BatchWindow time.Duration
 	// MaxBatch caps instances per SolveBatch dispatch (default 32).
 	MaxBatch int
 	// Concurrency bounds how many instances one SolveBatch dispatch
-	// solves at once (default GOMAXPROCS, see SolveBatch). The
-	// work-conserving batcher counts the same number of pool slots,
-	// capped at Pool.Workers() when Pool is set.
+	// solves at once (default GOMAXPROCS, see SolveBatch). The batcher
+	// counts the same number of pool slots, capped at Pool.Workers()
+	// when Pool is set: an open batch dispatches at once while a slot is
+	// free, and holds — gathering misses — only while every slot is
+	// busy, until a slot frees, MaxBatch fills, the server closes or
+	// saturatedHoldCap (2ms) passes. The cap bounds what a miss can wait
+	// behind an unrelated slow solve.
 	Concurrency int
 	// CacheCapacity is the solution LRU size in entries (default 4096;
 	// negative disables caching and single-flight entirely).
@@ -101,6 +95,11 @@ type Config struct {
 	// size apply to every solve, with knobs a request sets explicitly
 	// still winning (see sublineardp.WithCalibration).
 	Calibration *sublineardp.Calibration
+
+	// hold bounds how long a batch is held behind a saturated pool
+	// (default saturatedHoldCap). Tests lengthen it to make a held batch
+	// observable.
+	hold time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -119,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
@@ -130,6 +126,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
+	}
+	if c.hold <= 0 {
+		c.hold = saturatedHoldCap
 	}
 	return c
 }
@@ -290,7 +289,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req wire.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One JSON value per body: trailing whitespace only.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
 		s.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
 		return
@@ -416,8 +422,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // heavyMemoryEngines names the built-ins whose working set grows faster
-// than O(n^2) — the ones Config.MaxNHeavy bounds: hlv-dense, rytter and
-// the semiring alias hold O(n^4) partial-weight arrays, and hlv-banded
+// than O(n^2) — the ones Config.MaxNHeavy bounds: hlv-dense and rytter
+// hold O(n^4) partial-weight arrays, and hlv-banded
 // holds sum over lengths L of tri(min(D, L-1)+1) deficit cells with
 // D = 2*ceil(sqrt n), which is Θ(n^3) (16.5 GB at n=1024). The auto
 // engine never routes to any of them. The blocked engines are
@@ -429,7 +435,6 @@ var heavyMemoryEngines = map[string]bool{
 	sublineardp.EngineHLVDense:  true,
 	sublineardp.EngineHLVBanded: true,
 	sublineardp.EngineRytter:    true,
-	sublineardp.EngineSemiring:  true,
 }
 
 // recurrenceClass is what the one serving protocol asks of a request's
@@ -594,12 +599,10 @@ const saturatedHoldCap = 2 * time.Millisecond
 // batcher collects tasks into batches and dispatches each
 // asynchronously, so the next batch can collect while this one solves.
 // The first task opens a batch and whatever is already queued joins it.
-// With a positive BatchWindow the batch then holds for stragglers until
-// the window elapses or MaxBatch fills. With the zero window it
-// dispatches at once while fewer than width instances are in flight;
-// on a saturated pool it keeps collecting until a slot frees, MaxBatch
-// fills or saturatedHoldCap passes. Close dispatches a held batch at
-// once.
+// The batch dispatches at once while fewer than width instances are in
+// flight; on a saturated pool it keeps collecting until a slot frees,
+// MaxBatch fills or the hold (saturatedHoldCap) passes. Close
+// dispatches a held batch at once.
 func (s *Server) batcher() {
 	defer s.wg.Done()
 	width := s.cfg.Concurrency
@@ -608,11 +611,6 @@ func (s *Server) batcher() {
 	}
 	if s.cfg.Pool != nil {
 		width = min(width, s.cfg.Pool.Workers())
-	}
-	adaptive := s.cfg.BatchWindow == 0
-	hold := s.cfg.BatchWindow
-	if adaptive {
-		hold = saturatedHoldCap
 	}
 	for {
 		var first *task
@@ -623,26 +621,25 @@ func (s *Server) batcher() {
 		}
 		opened := time.Now()
 		batch := []*task{first}
-		timer := time.NewTimer(hold)
+		var timer *time.Timer // started when the batch first holds
 	collect:
 		for len(batch) < s.cfg.MaxBatch {
-			var freed <-chan struct{}
-			if adaptive {
-				select {
-				case t := <-s.batchCh:
-					batch = append(batch, t)
-					continue
-				default:
-				}
-				if s.met.batchInflight.Load() < int64(width) {
-					break collect
-				}
-				freed = s.freed
+			select {
+			case t := <-s.batchCh:
+				batch = append(batch, t)
+				continue
+			default:
+			}
+			if s.met.batchInflight.Load() < int64(width) {
+				break collect
+			}
+			if timer == nil {
+				timer = time.NewTimer(s.cfg.hold)
 			}
 			select {
 			case t := <-s.batchCh:
 				batch = append(batch, t)
-			case <-freed:
+			case <-s.freed:
 				// A group returned: re-check the slot count.
 			case <-timer.C:
 				break collect
@@ -650,7 +647,9 @@ func (s *Server) batcher() {
 				break collect
 			}
 		}
-		timer.Stop()
+		if timer != nil {
+			timer.Stop()
+		}
 		s.met.batchWaitNs.Add(int64(time.Since(opened)))
 		s.met.batchInflight.Add(int64(len(batch)))
 		s.wg.Add(1)

@@ -10,11 +10,12 @@ import (
 	"sublineardp"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/recurrence"
+	"sublineardp/internal/seq"
 )
 
 // fixtures returns the shared instances every engine must agree on:
 // one per problem family plus the zigzag worst case, small enough for
-// the O(n^4)-memory engines (rytter, hlv-dense, semiring).
+// the O(n^4)-memory engines (rytter, hlv-dense).
 func fixtures() []*sublineardp.Instance {
 	return []*sublineardp.Instance{
 		sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25}),
@@ -36,7 +37,6 @@ func builtinEngines() []string {
 		sublineardp.EngineRytter,
 		sublineardp.EngineHLVDense,
 		sublineardp.EngineHLVBanded,
-		sublineardp.EngineSemiring,
 	}
 }
 
@@ -44,7 +44,7 @@ func builtinEngines() []string {
 // Solver API and returns an identical Solution.Cost() on shared fixtures.
 func TestAllEnginesAgreeOnFixtures(t *testing.T) {
 	for _, in := range fixtures() {
-		want := sublineardp.SolveSequential(in).Cost()
+		want := seq.Solve(in).Cost()
 		for _, name := range builtinEngines() {
 			s, err := sublineardp.NewSolver(name)
 			if err != nil {
@@ -215,11 +215,11 @@ func TestAutoEngineSelectsBySize(t *testing.T) {
 
 func TestSolutionTreeAcrossEngines(t *testing.T) {
 	in := sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	wantTree := sublineardp.SolveSequential(in).Tree()
+	wantTree := seq.Solve(in).Tree()
 	for _, name := range []string{
 		sublineardp.EngineSequential,
 		sublineardp.EngineHLVBanded,
-		sublineardp.EngineSemiring,
+		sublineardp.EngineHLVDense,
 	} {
 		sol, err := sublineardp.MustNewSolver(name).Solve(context.Background(), in)
 		if err != nil {
@@ -248,7 +248,7 @@ func TestSolutionTreeAcrossEngines(t *testing.T) {
 
 func TestSolverOptionsReachEngine(t *testing.T) {
 	in := sublineardp.NewShaped(sublineardp.CompleteTree(49))
-	want := sublineardp.SolveSequential(in).Table
+	want := seq.Solve(in).Table
 
 	s := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded,
 		sublineardp.WithTermination(sublineardp.WStable),
@@ -288,16 +288,16 @@ func TestSolverOptionsReachEngine(t *testing.T) {
 
 func TestSemiringEngineAlgebras(t *testing.T) {
 	in := sublineardp.NewMatrixChain([]int{10, 100, 5, 50, 20})
-	minSol, err := sublineardp.MustNewSolver(sublineardp.EngineSemiring).Solve(context.Background(), in)
+	minSol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSol, err := sublineardp.MustNewSolver(sublineardp.EngineSemiring,
+	maxSol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense,
 		sublineardp.WithSemiring(sublineardp.MaxPlus)).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sublineardp.SolveSequential(in).Cost(); minSol.Cost() != want {
+	if want := seq.Solve(in).Cost(); minSol.Cost() != want {
 		t.Errorf("min-plus cost %d, want %d", minSol.Cost(), want)
 	}
 	if maxSol.Cost() <= minSol.Cost() {

@@ -9,8 +9,6 @@ import (
 // Re-exported enum types, so functional options can be used without
 // importing internal packages.
 type (
-	// Variant selects the HLV partial-weight storage scheme (Dense | Banded).
-	Variant = core.Variant
 	// Mode selects the update discipline (Synchronous | Chaotic).
 	Mode = core.Mode
 	// Termination selects the stopping rule (FixedIterations | WStable |
